@@ -555,25 +555,20 @@ let run_writer_bench () =
     exit 1
   end
 
-(* --- server smoke: pipelined GETs over the wire, both serving planes --- *)
+(* --- server smoke: pipelined GETs over the wire, 1/2/4 event-loop workers --- *)
 
 let run_server_bench () =
   let keyspace = 1024 and value_size = 64 in
   let duration = 0.15 and pipeline = 32 and connections = 2 in
-  let bench label mode workers =
-    let rcu_mode =
-      match mode with
-      | Memcached.Server.Event_loop -> Memcached.Store.Qsbr
-      | Memcached.Server.Threaded -> Memcached.Store.Memb
-    in
+  let bench label workers =
     let store =
-      Memcached.Store.create ~backend:Memcached.Store.Rp ~rcu_mode
-        ~initial_size:4096 ()
+      Memcached.Store.create ~backend:Memcached.Store.Rp
+        ~rcu_mode:Memcached.Store.Qsbr ~initial_size:4096 ()
     in
     let path =
       Printf.sprintf "/tmp/rp-bench-server-%d-%s.sock" (Unix.getpid ()) label
     in
-    let config = { Memcached.Server.default_config with mode; workers } in
+    let config = { Memcached.Server.default_config with workers } in
     let server =
       Memcached.Server.start ~store ~config
         (Memcached.Server.Unix_socket path)
@@ -599,10 +594,9 @@ let run_server_bench () =
   in
   let runs =
     [
-      bench "event-loop-w1" Memcached.Server.Event_loop 1;
-      bench "event-loop-w2" Memcached.Server.Event_loop 2;
-      bench "event-loop-w4" Memcached.Server.Event_loop 4;
-      bench "threaded" Memcached.Server.Threaded 0;
+      bench "event-loop-w1" 1;
+      bench "event-loop-w2" 2;
+      bench "event-loop-w4" 4;
     ]
   in
   let oc = open_out "BENCH_server.json" in
@@ -618,7 +612,7 @@ let run_server_bench () =
          \"elapsed\": %.3f, \"rps\": %.0f, \"hits\": %d, \"misses\": %d}%s\n"
         label workers r.requests r.elapsed r.requests_per_second r.hits
         r.misses
-        (if i = 3 then "" else ","))
+        (if i = List.length runs - 1 then "" else ","))
     runs;
   output_string oc "  ]\n}\n";
   close_out oc;

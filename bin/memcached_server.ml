@@ -29,25 +29,17 @@ let metrics_port_arg =
   Arg.(
     value & opt (some int) None & info [ "metrics-port" ] ~docv:"PORT" ~doc)
 
-let mode_arg =
-  let event_loop =
-    ( Memcached.Server.Event_loop,
-      Arg.info [ "event-loop" ]
-        ~doc:
-          "Serve with the sharded event-loop plane (worker domains, \
-           pipelined batching, QSBR GET fast path on the rp backend)." )
+let event_loop_arg =
+  let doc =
+    "Accepted for compatibility and ignored: connections are always \
+     served by the sharded event loop."
   in
-  let threaded =
-    ( Memcached.Server.Threaded,
-      Arg.info [ "threaded" ]
-        ~doc:"Serve with one blocking thread per connection (default)." )
-  in
-  Arg.(value & vflag Memcached.Server.Threaded [ event_loop; threaded ])
+  Arg.(value & flag & info [ "event-loop" ] ~doc)
 
 let workers_arg =
   let doc =
-    "Event-loop worker domains (0 = one per recommended domain). Ignored \
-     under --threaded."
+    "Event-loop worker domains serving connections (0 = one per \
+     recommended domain)."
   in
   Arg.(value & opt int 0 & info [ "workers" ] ~docv:"N" ~doc)
 
@@ -128,9 +120,9 @@ let max_inflight_arg =
 
 let conn_write_cap_arg =
   let doc =
-    "Event-loop plane: per-connection pending-write cap in bytes — a \
-     client that stops draining its socket has its pipeline parked once \
-     this many response bytes are queued (0 = unlimited)."
+    "Per-connection pending-write cap in bytes — a client that stops \
+     draining its socket has its pipeline parked once this many response \
+     bytes are queued (0 = unlimited)."
   in
   Arg.(value & opt int 1_048_576 & info [ "conn-write-cap" ] ~docv:"BYTES" ~doc)
 
@@ -237,7 +229,7 @@ let replica_of_arg =
     & opt (some (conv (parse, print))) None
     & info [ "replica-of" ] ~docv:"HOST:PORT" ~doc)
 
-let run backend port socket max_mb metrics_port mode workers data_dir
+let run backend port socket max_mb metrics_port _event_loop workers data_dir
     snapshot_interval aof fsync_policy guard_enabled shed_watermarks
     max_inflight conn_write_cap oplog_max_mb trace_sample trace_slow_ms
     trace_buffer heat_topk heat_sample tier_dir tier_max_mb tier_demote
@@ -246,11 +238,11 @@ let run backend port socket max_mb metrics_port mode workers data_dir
     ~buffer:trace_buffer ();
   let rcu_mode =
     (* The event loop's worker domains follow QSBR discipline, unlocking
-       the zero-cost GET read sections; the threaded plane keeps the
-       blocking-tolerant memb flavour. *)
-    match (mode, backend) with
-    | Memcached.Server.Event_loop, Memcached.Store.Rp -> Memcached.Store.Qsbr
-    | _ -> Memcached.Store.Memb
+       the zero-cost GET read sections of the rp backend; the lock
+       backend has no read sections to speed up and keeps memb. *)
+    match backend with
+    | Memcached.Store.Rp -> Memcached.Store.Qsbr
+    | Memcached.Store.Lock -> Memcached.Store.Memb
   in
   let store =
     Memcached.Store.create ~backend ~rcu_mode ~max_bytes:(max_mb * 1024 * 1024)
@@ -377,13 +369,7 @@ let run backend port socket max_mb metrics_port mode workers data_dir
     | None -> Memcached.Server.Unix_socket socket
   in
   let config =
-    {
-      Memcached.Server.default_config with
-      mode;
-      workers;
-      max_inflight;
-      conn_write_cap;
-    }
+    { Memcached.Server.default_config with workers; max_inflight; conn_write_cap }
   in
   let server = Memcached.Server.start ~store ~config address in
   Option.iter
@@ -397,14 +383,11 @@ let run backend port socket max_mb metrics_port mode workers data_dir
   | Memcached.Server.Tcp p -> Printf.printf "listening on 127.0.0.1:%d\n%!" p
   | Memcached.Server.Inet (h, p) -> Printf.printf "listening on %s:%d\n%!" h p
   | Memcached.Server.Unix_socket path -> Printf.printf "listening on %s\n%!" path);
-  (match mode with
-  | Memcached.Server.Event_loop ->
-      Printf.printf "event-loop plane: %d worker domain(s), rcu %s\n%!"
-        (Memcached.Server.workers server)
-        (match rcu_mode with
-        | Memcached.Store.Qsbr -> "qsbr"
-        | Memcached.Store.Memb -> "memb")
-  | Memcached.Server.Threaded -> ());
+  Printf.printf "event-loop plane: %d worker domain(s), rcu %s\n%!"
+    (Memcached.Server.workers server)
+    (match rcu_mode with
+    | Memcached.Store.Qsbr -> "qsbr"
+    | Memcached.Store.Memb -> "memb");
   let metrics =
     Option.map
       (fun p ->
@@ -438,7 +421,7 @@ let cmd =
   Cmd.v (Cmd.info "memcached_server" ~doc)
     Term.(
       const run $ backend_arg $ port_arg $ socket_arg $ max_bytes_arg
-      $ metrics_port_arg $ mode_arg $ workers_arg $ data_dir_arg
+      $ metrics_port_arg $ event_loop_arg $ workers_arg $ data_dir_arg
       $ snapshot_interval_arg $ aof_arg $ fsync_policy_arg $ guard_arg
       $ shed_watermarks_arg $ max_inflight_arg $ conn_write_cap_arg
       $ oplog_max_mb_arg $ trace_sample_arg $ trace_slow_ms_arg

@@ -144,7 +144,12 @@ let follow ~store ?persist ~leader () =
         Rp_trace.request_begin ~trace k_apply;
         Fun.protect
           ~finally:(fun () -> Rp_trace.request_end ())
-          (fun () -> Store.replicate store r);
+          (fun () ->
+            (* The next thing this thread does is block in its stream
+               read: under QSBR it must leave its domain's slot offline,
+               or every later grace period (the first client write after
+               promote) waits on it forever. *)
+            Store.background store (fun () -> Store.replicate store r));
         Rp_obs.Counter.incr applied;
         (* Catch-up records stream with ts_us = 0 (their send time is not
            an apply deadline); lag is only meaningful for live ones. *)

@@ -1,5 +1,5 @@
-(* Text-protocol request dispatch, shared by the threaded server, the
-   event-loop workers, and the in-process benchmark loopback. *)
+(* Text-protocol request dispatch, shared by the event-loop workers and
+   the in-process benchmark loopback. *)
 
 let stored_reply : Store.stored_result -> Protocol.response = function
   | Store.Stored -> Protocol.Stored
@@ -129,6 +129,10 @@ let handle store (request : Protocol.request) : Protocol.response option =
       Some (Protocol.Trace_json (Rp_trace.export_json ?max_events ()))
   | Protocol.Heat_dump n -> Some (Protocol.Trace_json (Store.heat_json ?n store))
   | Protocol.Cluster_promote -> (
+      (* Promotion joins the replication apply thread, which may be
+         waiting for a grace period: a worker must not block on it as an
+         online QSBR reader. *)
+      Store.reader_offline store;
       match Store.promote store with
       | Ok _ -> Some Protocol.Ok_reply
       | Error msg -> Some (Protocol.Server_error msg))

@@ -67,9 +67,12 @@ let install ?watermarks ?(interval = 0.05) ?(stall_window = 1.0) store =
           (if new_s = Rp_guard.Healthy then base_sample else incident_sample)
         ());
   (* Emergency: claw memory back immediately rather than waiting for the
-     next store to trigger eviction. *)
+     next store to trigger eviction. The sweeper is a systhread that
+     sleeps between sweeps, so the eviction runs as background store
+     work. *)
   Rp_guard.on_transition g (fun _old new_s ->
-      if new_s = Rp_guard.Emergency then ignore (Store.evict_to_budget store));
+      if new_s = Rp_guard.Emergency then
+        ignore (Store.background store (fun () -> Store.evict_to_budget store)));
   Rp_guard.register_instruments g reg;
   Store.set_guard store (Some g);
   g

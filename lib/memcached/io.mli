@@ -7,34 +7,28 @@
     routed through an {!Rp_fault} I/O site so tests can shrink, stall, or
     tear it deterministically. *)
 
-exception Timeout
-(** Raised when a [deadline]/[timeout] expires before the transfer makes
-    progress. *)
-
 val ignore_sigpipe : unit -> unit
 (** Ignore SIGPIPE process-wide (idempotent) so a write to a peer-closed
     socket raises [Unix.EPIPE] instead of killing the process. Called by
     {!Server.start} and both client [connect]s. *)
 
-val write_all : ?fault:string -> ?deadline:float -> Unix.file_descr -> string -> unit
+val write_all : ?fault:string -> Unix.file_descr -> string -> unit
 (** Write the whole string, retrying short writes and transient errors.
     [fault] names an {!Rp_fault.io_cap} site evaluated before each chunk
     (a [Truncate_io] there forces short writes; a [Raise] models a torn
-    connection). [deadline] is an absolute [Unix.gettimeofday] instant:
-    once reached, waiting for writability raises {!Timeout}. *)
+    connection). *)
 
-val read : ?fault:string -> ?timeout:float -> Unix.file_descr -> Bytes.t -> int
+val read : ?fault:string -> Unix.file_descr -> Bytes.t -> int
 (** Read at most [Bytes.length buf] bytes into [buf] (from offset 0),
     returning the count (0 = peer closed). Retries transient errors.
     [fault] as in {!write_all} ([Truncate_io] caps the request, splitting
-    reads). [timeout] is a relative idle budget in seconds; if no data
-    arrives in time, raises {!Timeout}. *)
+    reads). *)
 
 (** {1 Non-blocking variants (event-loop plane)}
 
     These never wait for readiness — the caller's poll set decides when to
     retry. EINTR is retried inline; EAGAIN/EWOULDBLOCK surfaces as
-    [`Would_block]. The same failpoint sites as the blocking path apply. *)
+    [`Would_block]. [fault] works as in {!write_all}. *)
 
 val read_nonblock :
   ?fault:string -> Unix.file_descr -> Bytes.t -> [ `Data of int | `Eof | `Would_block ]

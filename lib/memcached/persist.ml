@@ -301,17 +301,24 @@ let register_instruments t =
 let attach ?snapshot_interval ?(aof = true) ?(fsync = P.Oplog.Always)
     ?(oplog_max_mb = 0) ?(archive_keep = 2) ~dir store =
   P.Fsutil.mkdir_p dir;
-  (* Recovery first: snapshot, then the log tail on top of it. *)
-  let snap =
-    P.Snapshot.load_newest ~dir ~f:(fun r -> Store.restore store r)
+  (* Recovery first: snapshot, then the log tail on top of it. It runs on
+     the caller's thread, which then goes on to block (the binary's main
+     thread sleeps until a signal), so it is background store work. *)
+  let snap, rr, swept =
+    Store.background store (fun () ->
+        let snap =
+          P.Snapshot.load_newest ~dir ~f:(fun r -> Store.restore store r)
+        in
+        let from_gen = match snap with Some (g, _) -> g | None -> 0 in
+        let rr =
+          P.Oplog.replay ~dir ~from_gen ~f:(fun r -> Store.restore store r)
+        in
+        (* Eviction is never logged, so a recovered heap can exceed the
+           byte budget (the snapshot predates the evictions that made it
+           fit). Sweep before traffic: a restarted node must not serve
+           from an over-budget heap. *)
+        (snap, rr, Store.evict_to_budget store))
   in
-  let from_gen = match snap with Some (g, _) -> g | None -> 0 in
-  let rr = P.Oplog.replay ~dir ~from_gen ~f:(fun r -> Store.restore store r) in
-  (* Eviction is never logged, so a recovered heap can exceed the byte
-     budget (the snapshot predates the evictions that made it fit). Sweep
-     before traffic: a restarted node must not serve from an over-budget
-     heap. *)
-  let swept = Store.evict_to_budget store in
   let recovered =
     {
       snapshot_gen = Option.map fst snap;

@@ -1,16 +1,12 @@
 (** memcached server: request dispatch plus a socket front end.
 
-    {!handle} is the pure dispatch used by both socket planes and the
-    in-process benchmark loopback. Two serving planes share one accept
-    loop and one config:
-
-    - {!Threaded} (default): one thread per connection, blocking I/O —
-      simple, torture-hardened, and immune to a slow connection stalling
-      others;
-    - {!Event_loop}: the sharded event-loop plane ({!Evloop}) — worker
-      domains with private poll sets, pipelined batch dispatch, coalesced
-      writes, and per-worker QSBR discipline for zero-cost GET read
-      sections (pair it with a {!Store.rcu_mode} [Qsbr] store). *)
+    {!handle} is the pure dispatch used by the socket front end and the
+    in-process benchmark loopback. A background accept loop applies the
+    connection caps and hands each admitted socket to the sharded
+    event loop ({!Evloop}): worker domains with private poll sets,
+    pipelined batch dispatch, coalesced writes, and per-worker QSBR
+    discipline for zero-cost GET read sections (pair it with a
+    {!Store.rcu_mode} [Qsbr] store; a [Memb] store works unchanged). *)
 
 val version_string : string
 
@@ -25,7 +21,10 @@ type address = Unix_socket of string | Tcp of int | Inet of string * int
     remote (or any resolvable) endpoint — the cluster plane's address
     shape. *)
 
-type mode = Threaded | Event_loop
+type mode = Event_loop
+(** The serving plane. It has a single value: the event loop is the only
+    socket front end. The type and the {!config.mode} field remain only
+    so existing record literals that name [Event_loop] keep compiling. *)
 
 val sockaddr_of : address -> Unix.socket_domain * Unix.sockaddr
 (** Resolve an address to its socket domain and sockaddr (numeric hosts
@@ -42,34 +41,28 @@ type config = {
   idle_timeout : float;
       (** seconds a connection may sit without sending bytes before the
           server closes it; [0.] disables (default) *)
-  write_timeout : float;
-      (** seconds a single response write may block before the connection
-          is dropped; [0.] disables (default 30; threaded plane only —
-          the event loop parks pending bytes and polls for writability) *)
   listen_backlog : int;  (** [listen(2)] backlog (default 64) *)
   read_buffer_size : int;
-      (** per-connection read buffer in bytes (default 16 KiB); the
-          threaded plane pools these across connections *)
+      (** per-connection read buffer in bytes (default 16 KiB) *)
   tcp_nodelay : bool;
       (** disable Nagle on accepted TCP sockets (default [true]) so
           pipelined responses aren't held back by coalescing timers *)
-  mode : mode;  (** serving plane (default {!Threaded}) *)
+  mode : mode;  (** always {!Event_loop}; see {!mode} *)
   workers : int;
       (** event-loop worker domains; [0] (default) means
           [Domain.recommended_domain_count ()] *)
   conn_write_cap : int;
-      (** event-loop plane: per-connection pending-write byte cap
-          (default 1 MiB; [0] = unlimited). See
-          {!Evloop.config.conn_write_cap} *)
+      (** per-connection pending-write byte cap (default 1 MiB; [0] =
+          unlimited). See {!Evloop.config.conn_write_cap} *)
   drain_deadline : float;
-      (** event-loop plane: kill a backed-up connection making no
-          progress for this many seconds (default 30; [<= 0] disables).
-          See {!Evloop.config.drain_deadline} *)
+      (** kill a backed-up connection making no progress for this many
+          seconds (default 30; [<= 0] disables). See
+          {!Evloop.config.drain_deadline} *)
 }
 
 val default_config : config
-(** 1024 connections, no inflight cap, no idle timeout, 30 s write
-    timeout, backlog 64, 16 KiB buffers, TCP_NODELAY on, threaded mode,
+(** 1024 connections, no inflight cap, no idle timeout, backlog 64,
+    16 KiB buffers, TCP_NODELAY on, one worker per recommended domain,
     1 MiB write cap, 30 s drain deadline.
 
     When a {!Store.guard} is attached and in [Emergency], new connections
@@ -79,17 +72,16 @@ val default_config : config
 
 val start : store:Store.t -> ?config:config -> address -> t
 (** Start listening and serving connections (the accept loop runs on a
-    background thread; connection service runs on per-connection threads
-    or event-loop worker domains, by [config.mode]). Connection I/O runs
-    through the failpoint sites ["server.read.split"],
-    ["server.write.partial"], and ["server.conn.reset"] (see {!Rp_fault})
-    on both planes, so tests can split reads, shorten writes, or tear
-    connections. *)
+    background thread; connection service runs on the event-loop worker
+    domains). Connection I/O runs through the failpoint sites
+    ["server.read.split"], ["server.write.partial"], and
+    ["server.conn.reset"] (see {!Rp_fault}), so tests can split reads,
+    shorten writes, or tear connections. *)
 
 val stop : t -> unit
 (** Close the listener, wait for the accept loop to exit, then shut down
-    and drain every in-flight connection thread or worker domain: when
-    [stop] returns, no server thread or domain is left running. *)
+    every connection and join the worker domains: when [stop] returns,
+    no server thread or domain is left running. *)
 
 val active_connections : t -> int
 (** Currently live connections. *)
@@ -107,5 +99,4 @@ val address : t -> address
     port) is resolved to the port the kernel actually picked. *)
 
 val workers : t -> int
-(** Event-loop worker domains serving this instance; [0] on the threaded
-    plane. *)
+(** Event-loop worker domains serving this instance (always [>= 1]). *)

@@ -79,6 +79,9 @@ type t = {
      workers go offline around their poll wait, and the update stripes are
      acquired with a quiescing spin. *)
   qsbr : Rcu_qsbr.t option;
+  (* Serializes QSBR store work done outside the event-loop workers; see
+     [background]. *)
+  background_mu : Mutex.t;
   (* Overload guard, attached by [Guard.install]: dispatch consults it to
      shed mutations; [guard_stats] renders its live ladder state. *)
   mutable guard : Rp_guard.t option;
@@ -192,6 +195,7 @@ let create ?(backend = Rp) ?(rcu_mode = Memb) ?(max_bytes = 64 * 1024 * 1024)
       state;
       persist_hook = None;
       qsbr;
+      background_mu = Mutex.create ();
       guard = None;
       read_only = false;
       cluster_info = None;
@@ -324,6 +328,25 @@ let reader_offline t =
   match t.state with
   | Rp_state rs -> (Rp_ht.flavour rs.rp).Flavour.thread_offline ()
   | Lock_state _ -> ()
+
+(* A QSBR slot belongs to a domain, so every systhread on that domain
+   shares one: the recovery code on the main thread, the replication
+   apply thread, the guard's Emergency sweep. Interleaved, one thread's
+   offline would strip a sibling's open read section (or raise), and a
+   thread that blocks without going offline leaves the slot online with
+   a stale counter, so the next grace period waits forever. Running all
+   such work one caller at a time, each leaving the slot offline, rules
+   out both. *)
+let background t f =
+  match t.qsbr with
+  | None -> f ()
+  | Some _ ->
+      Mutex.lock t.background_mu;
+      Fun.protect
+        ~finally:(fun () ->
+          reader_offline t;
+          Mutex.unlock t.background_mu)
+        f
 
 (* memcached's REALTIME_MAXDELTA: protocol exptimes up to 30 days are
    relative seconds; anything larger is an absolute Unix timestamp. *)

@@ -26,7 +26,8 @@ type rcu_mode =
           (the event-loop serving plane's configuration). Every domain
           that touches the store becomes a QSBR participant and must
           quiesce regularly or go offline ({!reader_offline}) before
-          blocking — exactly the discipline {!Evloop} workers follow. *)
+          blocking — exactly the discipline {!Evloop} workers follow.
+          Threads other than the workers go through {!background}. *)
 
 type t
 
@@ -78,6 +79,17 @@ val reader_offline : t -> unit
     grace periods stop waiting for it — required before a {!Qsbr}-mode
     domain blocks (poll wait, long sleep). The next store access brings it
     back online automatically. No-op for {!Memb} and the {!Lock} backend. *)
+
+val background : t -> (unit -> 'a) -> 'a
+(** [background t f] runs [f] for a thread that is not an event-loop
+    worker — recovery, the replication apply loop, the guard's Emergency
+    sweep — and leaves the calling domain's reader offline afterwards.
+    Under {!Qsbr} such threads share their domain's QSBR slot, so every
+    such caller is serialized by one mutex: no two of them hold read
+    sections at once, and the slot is offline whenever none is running.
+    Every store access from such a thread must go through here. Not for
+    event-loop workers, which own their domain's slot. For {!Memb}
+    stores it is plain application. *)
 
 (** {1 Commands} *)
 

@@ -194,7 +194,10 @@ let finish_recovery t =
     Store.tier_location t.store key
     = Some (loc.segment, loc.offset, loc.len)
   in
-  let dropped = Rp_tier.Cold_store.finish_recovery t.cold ~is_live in
+  let dropped =
+    Store.background t.store (fun () ->
+        Rp_tier.Cold_store.finish_recovery t.cold ~is_live)
+  in
   t.recovery_dropped <- dropped;
   dropped
 

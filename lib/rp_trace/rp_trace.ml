@@ -484,8 +484,9 @@ let request_begin ?(arg = 0) ?(trace = 0) kind =
       Atomic.incr sampled_active
     end;
     (* A request already in flight on this slot means interleaved
-       threads on one domain (the threaded plane): close its
-       accounting so [sampled_active] cannot leak. *)
+       threads on one domain (say a follower's replication apply thread
+       beside another domain-0 caller): close its accounting so
+       [sampled_active] cannot leak. *)
     if ctx.sampled then Atomic.decr sampled_active;
     let span = fresh_span slot in
     (* The request nests under whatever span encloses it on this domain

@@ -1547,7 +1547,6 @@ let run_slow_client config =
   let server_config =
     {
       Memcached.Server.default_config with
-      mode = Memcached.Server.Event_loop;
       workers = 1;
       conn_write_cap = 8192;
       drain_deadline = Float.min 0.05 (config.duration /. 2.);

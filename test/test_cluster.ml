@@ -308,17 +308,29 @@ let test_replication_e2e () =
         (Sys.readdir d))
     [ leader_dir; follower_dir ]
 
+let clear_dir dir =
+  Array.iter
+    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+    (Sys.readdir dir)
+
+(* A leader with an op log on loopback: [f store addr] gets its store and
+   its replication address. *)
+let with_leader f =
+  with_dir @@ fun dir ->
+  let store = Store.create () in
+  let persist = Persist.attach ~dir store in
+  let leader =
+    Cluster.lead ~store ~persist (Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
+  in
+  f store (Unix.ADDR_INET (Unix.inet_addr_loopback, Cluster.repl_port leader));
+  Cluster.stop leader;
+  Persist.stop persist;
+  clear_dir dir
+
 (* A follower that connects, dies, and reconnects resumes from its
    watermark — and duplicate delivery across the resume is harmless. *)
 let test_follower_reconnect () =
-  with_dir @@ fun leader_dir ->
-  let leader_store = Store.create () in
-  let leader_persist = Persist.attach ~dir:leader_dir leader_store in
-  let leader =
-    Cluster.lead ~store:leader_store ~persist:leader_persist
-      (Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
-  in
-  let port = Cluster.repl_port leader in
+  with_leader @@ fun leader_store leader ->
   for i = 0 to 49 do
     ignore
       (Store.set leader_store
@@ -326,11 +338,7 @@ let test_follower_reconnect () =
          ~flags:0 ~exptime:0 ~data:(Printf.sprintf "v-%d" i))
   done;
   let follower_store = Store.create () in
-  let f1 =
-    Cluster.follow ~store:follower_store
-      ~leader:(Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-      ()
-  in
+  let f1 = Cluster.follow ~store:follower_store ~leader () in
   eventually ~label:"first sync" (fun () -> Cluster.applied f1 >= 50);
   Cluster.stop f1;
   (* More writes while detached. *)
@@ -343,11 +351,7 @@ let test_follower_reconnect () =
   (* New session: no persist on the follower, so from_gen restarts the
      stream from the top — duplicates the first 50, which must converge
      to identical state (idempotent records). *)
-  let f2 =
-    Cluster.follow ~store:follower_store
-      ~leader:(Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-      ()
-  in
+  let f2 = Cluster.follow ~store:follower_store ~leader () in
   eventually ~label:"resync" (fun () ->
       store_kv follower_store "k-79" = Some "v-79");
   for i = 0 to 79 do
@@ -356,12 +360,78 @@ let test_follower_reconnect () =
       (Some (Printf.sprintf "v-%d" i))
       (store_kv follower_store (Printf.sprintf "k-%d" i))
   done;
-  Cluster.stop f2;
-  Cluster.stop leader;
-  Persist.stop leader_persist;
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat leader_dir f) with Sys_error _ -> ())
-    (Sys.readdir leader_dir)
+  Cluster.stop f2
+
+(* Serve a QSBR follower's store on the event loop, promote it over the
+   admin command, and write 2000 fresh keys to it under a deadline. A
+   domain-0 thread that left the QSBR slot online stalls the grace period
+   of the first table expansion, which fails the probe. *)
+let promote_and_write ~label store =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rp-cluster-qsbr-%d.sock" (Unix.getpid ()))
+  in
+  let server =
+    Server.start ~store
+      ~config:{ Server.default_config with workers = 1 }
+      (Server.Unix_socket path)
+  in
+  let c = Client.connect (Server.address server) in
+  (match Client.promote c with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "cluster promote: %s" m);
+  let probe = Stall_probe.connect path in
+  Stall_probe.sets ~label probe ~prefix:"p" 2000;
+  Unix.close probe;
+  Alcotest.(check (option string)) "promoted write visible" (Some "p-2000")
+    (Option.map (fun (v : Protocol.value) -> v.vdata) (Client.get c "p-2000"));
+  Client.close c;
+  Server.stop server
+
+(* The promote cycle with a QSBR follower behind the event loop — what
+   every [--backend rp --replica-of] server runs. The apply thread reads
+   the table on domain 0 and then blocks in its stream read. *)
+let test_qsbr_promote_evloop () =
+  with_leader @@ fun leader_store leader ->
+  let store = Store.create ~rcu_mode:Store.Qsbr () in
+  let follower = Cluster.follow ~store ~leader () in
+  ignore (Store.set leader_store ~key:"k" ~flags:0 ~exptime:0 ~data:"leader");
+  eventually ~label:"replicated SET" (fun () -> Cluster.applied follower >= 1);
+  promote_and_write ~label:"after promote" store;
+  Cluster.stop follower
+
+(* The follower's apply thread shares domain 0's QSBR slot with every
+   other systhread there, such as the guard's sweeper, whose Emergency
+   actuator runs an eviction sweep. Here a second systhread runs that
+   sweep over and over while records stream in past the follower's
+   budget. Every record must still apply (the apply thread survives). *)
+let test_qsbr_follower_beside_evictions () =
+  with_leader @@ fun leader_store leader ->
+  let store = Store.create ~rcu_mode:Store.Qsbr ~max_bytes:(64 * 1024) () in
+  let follower = Cluster.follow ~store ~leader () in
+  let sweeping = Atomic.make true in
+  let sweeper =
+    Thread.create
+      (fun () ->
+        while Atomic.get sweeping do
+          ignore (Store.background store (fun () -> Store.evict_to_budget store));
+          Thread.yield ()
+        done)
+      ()
+  in
+  let records = 1000 and data = String.make 512 'r' in
+  for i = 1 to records do
+    ignore
+      (Store.set leader_store ~key:(Printf.sprintf "r%d" (i mod 500))
+         ~flags:0 ~exptime:0 ~data)
+  done;
+  eventually ~timeout:30. ~label:"every record applied" (fun () ->
+      Cluster.applied follower >= records);
+  Atomic.set sweeping false;
+  Thread.join sweeper;
+  Alcotest.(check bool) "sweeps evicted" true (Store.evictions store > 0);
+  promote_and_write ~label:"after evictions" store;
+  Cluster.stop follower
 
 (* --- client-side ejection / failover (no live servers needed) --- *)
 
@@ -402,6 +472,10 @@ let () =
           Alcotest.test_case "leader-follower-promote" `Quick
             test_replication_e2e;
           Alcotest.test_case "reconnect resumes" `Quick test_follower_reconnect;
+          Alcotest.test_case "qsbr promote over event loop" `Quick
+            test_qsbr_promote_evloop;
+          Alcotest.test_case "qsbr follower beside evictions" `Quick
+            test_qsbr_follower_beside_evictions;
         ] );
       ( "client",
         [ Alcotest.test_case "ejection" `Quick test_client_ejection ] );

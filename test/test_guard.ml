@@ -297,6 +297,40 @@ let test_post_recovery_sweep () =
       Alcotest.(check bool) "something survived" true (Store.items small > 0);
       Persist.stop p2)
 
+let sock_path tag =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "rp-guard-%s-%d.sock" tag (Unix.getpid ()))
+
+(* Recovery reads the table from the caller's thread — in the binary the
+   main thread, which then sleeps until a signal. On a QSBR store that
+   thread must leave its domain's slot offline, or the first grace
+   period a worker waits for (a table expansion) never ends. *)
+let test_qsbr_warm_restart_serves_writes () =
+  with_dir (fun dir ->
+      let first = Store.create ~backend:Store.Rp () in
+      let p1 = Persist.attach ~aof:true ~dir first in
+      for k = 0 to 99 do
+        ignore
+          (Store.set first ~key:("wk" ^ string_of_int k) ~flags:0 ~exptime:0
+             ~data:"warm")
+      done;
+      Persist.stop p1;
+      let store = Store.create ~backend:Store.Rp ~rcu_mode:Store.Qsbr () in
+      let p2 = Persist.attach ~aof:true ~dir store in
+      Alcotest.(check int) "recovered" 100 (Store.items store);
+      let path = sock_path "warm" in
+      let server =
+        Server.start ~store
+          ~config:{ Server.default_config with workers = 1 }
+          (Server.Unix_socket path)
+      in
+      let probe = Stall_probe.connect path in
+      Stall_probe.sets ~label:"after warm restart" probe ~prefix:"w" 2000;
+      Unix.close probe;
+      Server.stop server;
+      Persist.stop p2)
+
 (* --- op-log size rotation and bounded archives --- *)
 
 let test_oplog_size_rotation () =
@@ -443,6 +477,74 @@ let test_append_failure_latch () =
         (Option.map ignore (Persist.last_append_error_age p));
       Persist.stop p)
 
+(* The Emergency actuator evicts from the guard's sweeper, a systhread
+   on domain 0 that sleeps between sweeps. On a QSBR store the sweep
+   must leave that domain's slot offline, or writes stall once the
+   ladder is back to Healthy. *)
+let test_qsbr_emergency_sweep_then_writes () =
+  let budget = 16 * 1024 in
+  let now = Atomic.make 1_000_000_000.0 in
+  let store =
+    Store.create ~backend:Store.Rp ~rcu_mode:Store.Qsbr ~max_bytes:budget
+      ~clock:(fun () -> Atomic.get now)
+      ()
+  in
+  (* Restored records skip inline eviction, which leaves the store over
+     budget for the actuator to sweep: far enough over that the sweep
+     retires more items than one deferred-reclamation batch. *)
+  let keys = List.init 200 (fun k -> "ek" ^ string_of_int k) in
+  Store.background store (fun () ->
+      List.iteri
+        (fun k key ->
+          Store.restore store
+            (Rp_persist.Record.Set
+               {
+                 op = Rp_persist.Record.Tset;
+                 key;
+                 flags = 0;
+                 exptime = Atomic.get now +. 60.;
+                 cas = k + 1;
+                 data = String.make 1024 'e';
+               }))
+        keys);
+  Alcotest.(check bool) "over budget" true (Store.bytes store > budget);
+  let path = sock_path "emergency" in
+  let server =
+    Server.start ~store
+      ~config:{ Server.default_config with workers = 1 }
+      (Server.Unix_socket path)
+  in
+  (* Connect, and be served once, first: Emergency refuses new
+     connections. *)
+  let probe = Stall_probe.connect path in
+  Stall_probe.gets ~label:"first GET" probe [ "ek0" ];
+  let g = Guard.install ~interval:0.01 store in
+  let pressure = Atomic.make 2.0 in
+  Rp_guard.add_source g ~name:"test" (fun () -> Atomic.get pressure);
+  Rp_guard.start g;
+  let wait_for want =
+    let deadline = Unix.gettimeofday () +. 10. in
+    while Rp_guard.state g <> want && Unix.gettimeofday () < deadline do
+      Thread.delay 0.005
+    done;
+    Alcotest.check state (Rp_guard.state_name want) want (Rp_guard.state g)
+  in
+  wait_for Rp_guard.Emergency;
+  Alcotest.(check bool) "emergency sweep evicted" true
+    (Store.evictions store >= 100);
+  (* A full cache holds the mem source at Shed or above. Expire what is
+     left and let GETs (never shed) reap it so the ladder can descend. *)
+  Atomic.set now (Atomic.get now +. 120.);
+  Stall_probe.gets ~label:"reaping" probe keys;
+  Atomic.set pressure 0.0;
+  wait_for Rp_guard.Healthy;
+  (* The probe's SETs refill the cache, which would take the mem source
+     back up to Shed: stop the ladder at Healthy first. *)
+  Rp_guard.stop g;
+  Stall_probe.sets ~label:"after emergency" probe ~prefix:"s" 2000;
+  Unix.close probe;
+  Server.stop server
+
 (* --- connection admission --- *)
 
 let test_admission_cap () =
@@ -499,6 +601,8 @@ let () =
         [
           Alcotest.test_case "post-recovery sweep" `Quick
             test_post_recovery_sweep;
+          Alcotest.test_case "qsbr warm restart, then writes" `Quick
+            test_qsbr_warm_restart_serves_writes;
           Alcotest.test_case "op-log size rotation" `Quick
             test_oplog_size_rotation;
           Alcotest.test_case "bounded archives" `Quick
@@ -510,6 +614,8 @@ let () =
         [
           Alcotest.test_case "sampling + persist" `Quick
             test_adaptive_sampling_and_persist_actuators;
+          Alcotest.test_case "qsbr emergency sweep, then writes" `Quick
+            test_qsbr_emergency_sweep_then_writes;
         ] );
       ( "admission",
         [ Alcotest.test_case "inflight cap" `Quick test_admission_cap ] );

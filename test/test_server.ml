@@ -85,17 +85,14 @@ let test_dispatch_admin () =
 
 (* --- socket integration ---
 
-   Every socket test runs against both serving planes: the threaded
-   fallback (memb-flavoured store) and the sharded event loop (QSBR
-   store, the paper configuration). A "plane" bundles the server config
-   with the store's RCU mode. *)
+   Every socket test runs twice on the event loop: over a QSBR store
+   (the paper configuration) and over a memb store (what default-config
+   servers and the lock backend get). A "plane" bundles the server
+   config with the store's RCU mode. *)
 
-let threaded_plane = ("threaded", Server.default_config, Store.Memb)
+let memb_plane = ("memb", { Server.default_config with workers = 2 }, Store.Memb)
 
-let ev_plane =
-  ( "event-loop",
-    { Server.default_config with Server.mode = Server.Event_loop; workers = 2 },
-    Store.Qsbr )
+let qsbr_plane = ("qsbr", { Server.default_config with workers = 2 }, Store.Qsbr)
 
 let with_server ?(config = Server.default_config) ?(rcu_mode = Store.Memb) f =
   let path =
@@ -334,7 +331,7 @@ let test_stop_drains_connections (_, config, rcu_mode) () =
     clients;
   Alcotest.(check bool) "connections live" true
     (Server.active_connections server >= 1);
-  (* stop must shut down and join every connection thread. *)
+  (* stop must shut down every connection and join the workers. *)
   Server.stop server;
   Alcotest.(check int) "all connections drained" 0
     (Server.active_connections server);
@@ -482,9 +479,7 @@ let test_binary_frame_straddles_reads plane () =
    own key before any response is read; each must get back exactly its
    own values, in order — nothing crossed between workers. *)
 let test_multiworker_routing () =
-  let config =
-    { Server.default_config with Server.mode = Server.Event_loop; workers = 4 }
-  in
+  let config = { Server.default_config with workers = 4 } in
   with_server ~config ~rcu_mode:Store.Qsbr (fun ~server addr _store ->
       Alcotest.(check int) "worker domains" 4 (Server.workers server);
       let n = 8 and reps = 25 in
@@ -559,10 +554,10 @@ let () =
           Alcotest.test_case "gets/cas flow" `Quick test_dispatch_gets_cas_flow;
           Alcotest.test_case "admin" `Quick test_dispatch_admin;
         ] );
-      ("socket integration (threaded)", socket_cases threaded_plane);
-      ("socket integration (event loop)", socket_cases ev_plane);
-      ("hardening (threaded)", hardening_cases threaded_plane);
-      ("hardening (event loop)", hardening_cases ev_plane);
+      ("socket integration (memb)", socket_cases memb_plane);
+      ("socket integration (event loop)", socket_cases qsbr_plane);
+      ("hardening (memb)", hardening_cases memb_plane);
+      ("hardening (event loop)", hardening_cases qsbr_plane);
       ( "event-loop sharding",
         [
           Alcotest.test_case "multi-worker response routing" `Quick

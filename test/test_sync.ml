@@ -1,4 +1,4 @@
-(* Synchronization substrate: rwlock (both variants), brlock, seqlock,
+(* Synchronization substrate: rwlock (both variants), seqlock,
    spinlock, backoff, barrier — including concurrent mutual-exclusion and
    consistency checks. *)
 
@@ -92,36 +92,6 @@ let test_rwlock_writer_exclusion make () =
   Atomic.set stop true;
   List.iter Domain.join readers;
   Alcotest.(check int) "no torn read observed" 0 (Atomic.get inconsistent)
-
-let test_brlock_basic () =
-  let l = Rp_sync.Brlock.create ~slots:4 () in
-  Alcotest.(check int) "slots" 4 (Rp_sync.Brlock.slots l);
-  let slot = Rp_sync.Brlock.read_lock l in
-  Rp_sync.Brlock.read_unlock l slot;
-  Rp_sync.Brlock.write_lock l;
-  Rp_sync.Brlock.write_unlock l;
-  Rp_sync.Brlock.with_read l (fun () -> ());
-  Rp_sync.Brlock.with_write l (fun () -> ())
-
-let test_brlock_writer_waits_for_readers () =
-  let l = Rp_sync.Brlock.create ~slots:2 () in
-  let value = ref (0, 0) in
-  let inconsistent = Atomic.make 0 in
-  let stop = Atomic.make false in
-  let reader =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop) do
-          Rp_sync.Brlock.with_read l (fun () ->
-              let a, b = !value in
-              if b <> -a then Atomic.incr inconsistent)
-        done)
-  in
-  for i = 1 to 10_000 do
-    Rp_sync.Brlock.with_write l (fun () -> value := (i, -i))
-  done;
-  Atomic.set stop true;
-  Domain.join reader;
-  Alcotest.(check int) "no torn read under brlock" 0 (Atomic.get inconsistent)
 
 let test_seqlock_basic () =
   let s = Rp_sync.Seqlock.create () in
@@ -237,12 +207,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_spinlock_try_acquire_consistent;
         ] );
       ("rwlock", rwlock_tests);
-      ( "brlock",
-        [
-          Alcotest.test_case "basic" `Quick test_brlock_basic;
-          Alcotest.test_case "writer waits for readers" `Quick
-            test_brlock_writer_waits_for_readers;
-        ] );
       ( "seqlock",
         [
           Alcotest.test_case "basic" `Quick test_seqlock_basic;

@@ -310,13 +310,7 @@ let test_evloop_end_to_end () =
         Filename.concat (Filename.get_temp_dir_name ())
           (Printf.sprintf "rp-trace-ev-%d.sock" (Unix.getpid ()))
       in
-      let config =
-        {
-          Memcached.Server.default_config with
-          Memcached.Server.mode = Memcached.Server.Event_loop;
-          workers = 1;
-        }
-      in
+      let config = { Memcached.Server.default_config with workers = 1 } in
       let server =
         Memcached.Server.start ~store ~config (Memcached.Server.Unix_socket path)
       in
