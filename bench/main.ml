@@ -1122,6 +1122,9 @@ let run_heat_bench () =
   measure ();
   if !mean_on /. !mean_off > 1.15 then measure ();
   let ratio = !mean_on /. !mean_off in
+  (* The absolute tax beside the ratio: a faster bare path raises the
+     ratio even when the plane's own cost holds still. *)
+  let tax_ns = !mean_on -. !mean_off in
   (* The 50/50 GET/SET mix under Zipf(0.99): the workload the plane
      exists to describe. *)
   let keygen =
@@ -1196,25 +1199,28 @@ let run_heat_bench () =
     "{\n  \"benchmark\": \"heat\",\n  \"keyspace\": %d,\n  \
      \"value_size\": %d,\n  \"get_rps\": %.0f,\n  \
      \"get_p99_off_ns\": %.0f,\n  \"get_p99_ns\": %.0f,\n  \
-     \"heat_get_ratio\": %.3f,\n  \"top1_key\": \"%s\",\n  \
+     \"heat_get_ratio\": %.3f,\n  \"heat_get_tax_ns\": %.1f,\n  \
+     \"top1_key\": \"%s\",\n  \
      \"top1_share_sketch\": %.5f,\n  \"top1_share_analytic\": %.5f,\n  \
      \"top1_share_err\": %.4f,\n  \"tracked_hits\": %d,\n  \
      \"misses\": %d\n}\n"
-    keyspace value_size get_rps p99_off p99_on ratio topkey share analytic
-    share_err tracked !misses;
+    keyspace value_size get_rps p99_off p99_on ratio tax_ns topkey share
+    analytic share_err tracked !misses;
   close_out oc;
   Printf.printf
-    "heat:    GET p99 %.0f -> %.0f ns, mean tax %.2fx, mixed zipf %.0f \
-     get/s, top-1 %s share %.4f vs %.4f analytic (err %.1f%%), report in \
-     BENCH_heat.json\n"
-    p99_off p99_on ratio get_rps topkey share analytic (share_err *. 100.);
+    "heat:    GET p99 %.0f -> %.0f ns, mean tax %.2fx (%+.1f ns), mixed zipf \
+     %.0f get/s, top-1 %s share %.4f vs %.4f analytic (err %.1f%%), report \
+     in BENCH_heat.json\n"
+    p99_off p99_on ratio tax_ns get_rps topkey share analytic
+    (share_err *. 100.);
   if !misses > 0 then begin
     Printf.printf "heat bench: %d GET misses on a prefilled keyspace\n" !misses;
     exit 1
   end;
   if ratio > 1.15 then begin
-    Printf.printf "heat bench: sketch tax %.2fx exceeds the 1.15x budget\n"
-      ratio;
+    Printf.printf
+      "heat bench: sketch tax %.2fx (%+.1f ns) exceeds the 1.15x budget\n"
+      ratio tax_ns;
     exit 1
   end;
   if share_err > 0.10 then begin

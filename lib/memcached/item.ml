@@ -12,7 +12,7 @@ type t = {
   data : string;
   cas : int;
   created : float;
-  last_access : float Atomic.t;
+  referenced : bool Atomic.t;
   location : location;
 }
 
@@ -21,7 +21,7 @@ let overhead_bytes = 48
 
 let make ?cas ?(location = Hot) ~flags ~exptime ~data ~now () =
   let cas = match cas with Some c -> c | None -> Atomic.fetch_and_add next_cas 1 in
-  { flags; exptime; data; cas; created = now; last_access = Atomic.make now; location }
+  { flags; exptime; data; cas; created = now; referenced = Atomic.make false; location }
 
 (* Replayed items keep their original CAS; push the allocator past them so
    post-recovery items never collide with a restored version. *)
@@ -32,5 +32,12 @@ let rec note_restored_cas cas =
 
 let is_expired t ~now = t.exptime > 0.0 && t.exptime <= now
 let is_cold t = t.location <> Hot
-let touch_access t ~now = Atomic.set t.last_access now
+(* Read before write: a hot item's bit is already set, so the GET that
+   finds it set leaves the shared cache line clean — one write per sweep
+   lap, not one per hit. *)
+let mark_referenced t =
+  if not (Atomic.get t.referenced) then Atomic.set t.referenced true
+
+let is_referenced t = Atomic.get t.referenced
+let clear_referenced t = Atomic.set t.referenced false
 let size_bytes ~key t = String.length key + String.length t.data + overhead_bytes

@@ -1,8 +1,9 @@
 (** A stored cache item.
 
-    Immutable payload ([data], [flags]) plus mutable bookkeeping the RP GET
-    fast path may touch from inside a read-side critical section
-    ([last_access] is atomic so lock-free readers can bump it). *)
+    Immutable payload ([data], [flags]) plus one mutable bit of CLOCK
+    bookkeeping: [referenced], which the RP GET fast path may set from
+    inside a read-side critical section (atomic so lock-free readers and
+    the eviction sweep can share it). *)
 
 type location =
   | Hot  (** value in [data] *)
@@ -18,7 +19,9 @@ type t = {
   data : string;
   cas : int;  (** unique version for compare-and-swap (gets/cas) *)
   created : float;
-  last_access : float Atomic.t;
+  referenced : bool Atomic.t;
+      (** CLOCK referenced bit: false at creation, set by accesses, cleared
+          by the eviction sweep when it grants a second chance *)
   location : location;
 }
 
@@ -26,7 +29,8 @@ val make :
   ?cas:int ->
   ?location:location ->
   flags:int -> exptime:float -> data:string -> now:float -> unit -> t
-(** [location] defaults to {!Hot}. *)
+(** [now] stamps [created]; [location] defaults to {!Hot}. The referenced
+    bit starts clear. *)
 
 val note_restored_cas : int -> unit
 (** Tell the CAS allocator a recovered item carries [cas], so versions
@@ -38,8 +42,15 @@ val is_expired : t -> now:float -> bool
 val is_cold : t -> bool
 (** True when the value lives in the disk tier ([location <> Hot]). *)
 
-val touch_access : t -> now:float -> unit
-(** Bump [last_access]; safe from concurrent lock-free readers. *)
+val mark_referenced : t -> unit
+(** Set the referenced bit. Reads it first, so an item whose bit is
+    already set is not written: a hot item costs one shared write per
+    sweep lap. Safe from concurrent lock-free readers. *)
+
+val is_referenced : t -> bool
+
+val clear_referenced : t -> unit
+(** Clear the referenced bit (the sweep's second chance). *)
 
 val size_bytes : key:string -> t -> int
 (** Approximate memory footprint used for the eviction budget: key + data +

@@ -17,18 +17,20 @@ type lock_state = {
    lock (stripe = key hash land mask, the same fnv1a hash the table
    stripes on, so one store stripe maps into one table stripe and
    independent SETs/DELETEs/CAS from different evloop workers proceed
-   concurrently). The CLOCK queue holds (key, last_access seen when
-   enqueued) pairs for second-chance eviction; it has its own leaf mutex
-   [clock_mu] — always acquired *inside* a stripe (or alone), never the
-   other way around — and sweeps are single-flighted through [sweeping]
-   and run with no stripe held, locking each victim's stripe as they
-   go. *)
+   concurrently). The CLOCK queue holds the keys of hot items for
+   second-chance eviction, and each item carries a referenced bit that
+   GET hits and overwrites set and the sweep clears; a GET hit therefore
+   writes nothing shared once the bit is set. The queue has its own
+   leaf mutex [clock_mu] — always acquired *inside* a stripe (or alone),
+   never the other way around — and sweeps are single-flighted through
+   [sweeping] and run with no stripe held, locking each victim's stripe
+   as they go. *)
 type rp_state = {
   rp : (string, Item.t) Rp_ht.t;
   update_stripes : Mutex.t array;  (* power of two *)
   update_mask : int;
   clock_mu : Mutex.t;
-  clockq : (string * float) Queue.t;
+  clockq : string Queue.t;
   sweeping : bool Atomic.t;
   (* Promotion single-flight: a flash crowd on one demoted key does one
      disk read. Same mask as the update stripes, but a separate array —
@@ -104,6 +106,7 @@ type t = {
      Every hot-path emission sits behind one branch on this option, so
      an unconfigured plane costs nothing but that branch. *)
   heat : Rp_heat.t option;
+  heat_countdowns : int array;  (* [Rp_heat.countdowns], [||] when off *)
   (* striped counters, registered in [registry] under their stats names.
      GET-path counters ride the wait-free lookup, so they must never be a
      shared atomic RMW. *)
@@ -188,6 +191,11 @@ let create ?(backend = Rp) ?(rcu_mode = Memb) ?(max_bytes = 64 * 1024 * 1024)
             promote_stripes = Array.init nstripes (fun _ -> Mutex.create ());
           }
   in
+  let heat =
+    if heat_topk > 0 then
+      Some (Rp_heat.create ~k:heat_topk ~sample_every:heat_sample ())
+    else None
+  in
   let registry = Rp_obs.Registry.create () in
   let counter name help = Rp_obs.Registry.counter registry ~help name in
   let t =
@@ -205,9 +213,9 @@ let create ?(backend = Rp) ?(rcu_mode = Memb) ?(max_bytes = 64 * 1024 * 1024)
       max_bytes;
       slab = Slab.create ();
       clock;
-      heat = (if heat_topk > 0 then
-           Some (Rp_heat.create ~k:heat_topk ~sample_every:heat_sample ())
-         else None);
+      heat;
+      heat_countdowns =
+        (match heat with Some h -> Rp_heat.countdowns h | None -> [||]);
       registry;
       get_hits = counter "get_hits" "GETs that found a live item";
       get_misses = counter "get_misses" "GETs that missed or hit an expired item";
@@ -403,10 +411,18 @@ let record_set t ~op key (item : Item.t) =
 (* --- heat plane emission (each call is one branch when the plane is
    off; the plane itself is plain stripe-discipline stores) --- *)
 
+(* The GET hit runs the off-sample note inline (one decrement of this
+   domain's countdown, see [Rp_heat.countdowns]): no call into the
+   plane, and the value is not touched. *)
 let[@inline] heat_hit t key data =
   match t.heat with
   | None -> ()
-  | Some h -> Rp_heat.note_hit h key ~vbytes:(String.length data)
+  | Some h ->
+      let cells = t.heat_countdowns in
+      let i = Rp_obs.Stripe.index () * Rp_obs.Stripe.stride in
+      let c = Array.unsafe_get cells i - 1 in
+      if c > 0 then Array.unsafe_set cells i c
+      else Rp_heat.note_hit h key ~vbytes:(String.length data)
 
 let[@inline] heat_miss t key =
   match t.heat with None -> () | Some h -> Rp_heat.note_miss h key
@@ -544,9 +560,9 @@ let with_all_stripes t (rs : rp_state) f =
 
 (* The CLOCK queue's leaf mutex: holders only touch the queue (no grace
    periods, no stripes), so a blocking lock is safe even under QSBR. *)
-let clock_push (rs : rp_state) entry =
+let clock_push (rs : rp_state) key =
   Mutex.lock rs.clock_mu;
-  Queue.add entry rs.clockq;
+  Queue.add key rs.clockq;
   Mutex.unlock rs.clock_mu
 
 let clock_pop (rs : rp_state) =
@@ -583,19 +599,19 @@ let rp_delete t rs key =
 (* CLOCK-queue invariant: a key is enqueued iff its item is hot. Demotion
    stores a marker over a hot item whose queue entry the sweep just popped
    (no push — markers are evicted by tier budget, not the CLOCK); any
-   store over a cold marker brings the key back to RAM and re-enqueues. *)
+   store over a cold marker brings the key back to RAM and re-enqueues.
+   Overwriting a hot item counts as an access: the new item inherits the
+   queue entry with its referenced bit set. *)
 let rp_store t rs key (item : Item.t) =
   (match Rp_ht.find rs.rp key with
   | Some old ->
       Slab.refund t.slab (Item.size_bytes ~key old);
       if Item.is_cold old then begin
         tier_mark_dead t old;
-        if not (Item.is_cold item) then
-          clock_push rs (key, Atomic.get item.last_access)
+        if not (Item.is_cold item) then clock_push rs key
       end
-  | None ->
-      if not (Item.is_cold item) then
-        clock_push rs (key, Atomic.get item.last_access));
+      else if not (Item.is_cold item) then Item.mark_referenced item
+  | None -> if not (Item.is_cold item) then clock_push rs key);
   (* replace publishes atomically: readers see the old or new item, never a
      torn one; the unlinked old item is reclaimed after a grace period. *)
   Rp_ht.replace rs.rp key item;
@@ -623,7 +639,7 @@ let rp_demote t rs key (item : Item.t) =
                 Item.make ~cas:item.cas
                   ~location:(Item.Cold { segment; offset; len })
                   ~flags:item.flags ~exptime:item.exptime ~data:""
-                  ~now:(Atomic.get item.last_access) ()
+                  ~now:item.created ()
               in
               rp_store t rs key marker;
               Rp_obs.Counter.incr t.tier_demotions;
@@ -670,9 +686,9 @@ let resolve_cold_locked t key (item : Item.t) =
               Rp_obs.Counter.incr t.tier_read_errors;
               None))
 
-(* CLOCK second-chance eviction: pop (key, last_access at enqueue); a key
-   touched since its enqueue gets requeued with the newer stamp — but only
-   while the sweep's second-chance budget lasts. The budget is the queue
+(* CLOCK second-chance eviction: pop a key; an item whose referenced bit
+   is set gets the bit cleared and is requeued — but only while the
+   sweep's second-chance budget lasts. The budget is the queue
    length when the sweep starts, so every loop turn either frees memory,
    drops a stale entry, or spends a chance: a sweep over a table of
    all-hot keys (readers re-touching every item faster than we pop)
@@ -695,7 +711,7 @@ let rp_sweep_locked t rs =
     while (not !exhausted) && Slab.allocated_bytes t.slab > t.max_bytes do
       match clock_pop rs with
       | None -> exhausted := true
-      | Some (key, seen_access) ->
+      | Some key ->
           with_stripe t rs ~hash:(hash_key key) (fun () ->
               match Rp_ht.find rs.rp key with
               | None -> () (* already deleted *)
@@ -705,11 +721,11 @@ let rp_sweep_locked t rs =
                      the entry — the marker is the tier's to manage. *)
                   ()
               | Some item ->
-                  let last = Atomic.get item.last_access in
-                  if last > seen_access && !chances > 0 then begin
+                  if Item.is_referenced item && !chances > 0 then begin
                     decr chances;
+                    Item.clear_referenced item;
                     Rp_obs.Counter.incr t.clock_chances;
-                    clock_push rs (key, last)
+                    clock_push rs key
                   end
                   else if not (rp_demote t rs key item) then begin
                     ignore (rp_delete t rs key);
@@ -770,38 +786,57 @@ let rp_expire_if_dead t rs ~now key =
           Rp_obs.Counter.incr t.expired
       | Some _ | None -> ())
 
-(* [expired_acc]: when the caller holds a batch-wide read section open it
-   must not take an update stripe inline (the holder could be waiting for
-   readers — us included). Expired keys are collected and reaped by the
-   caller after the section closes. A cold hit is likewise only REPORTED
-   here (`Cold): resolving it means a disk read and a stripe acquisition,
-   which the caller does outside any read section. *)
-let get_rp_raw t rs ?(with_cas = false) ?expired_acc key =
-  let now = t.clock () in
-  (* Fast path: wait-free lookup; the value is copied out inside the
-     table's read-side critical section. *)
+(* Reply-list placeholders for keys a lookup cannot settle inside a read
+   section: reaping an expired item takes an update stripe (the stripe
+   holder could be waiting for readers — us included), and resolving a
+   cold hit reads disk and takes stripes. [vdata] is a private tag
+   string, so [==] tells a placeholder from any real value; a miss
+   returns the shared [miss_reply], which is never sent. Only these rare
+   paths allocate a placeholder. *)
+let expired_tag = String.make 1 'x'
+let cold_tag = String.make 1 'c'
+let miss_reply : Protocol.value =
+  { vkey = ""; vflags = 0; vdata = String.make 1 'm'; vcas = None }
+
+let[@inline] placeholder key tag : Protocol.value =
+  { vkey = key; vflags = 0; vdata = tag; vcas = None }
+
+let is_placeholder (v : Protocol.value) =
+  v.vdata == expired_tag || v.vdata == cold_tag
+
+(* One wait-free lookup; the value is copied out inside the table's
+   read-side critical section. A hit writes nothing shared once its
+   item's referenced bit is set, and reads the clock only when the item
+   carries an expiry. *)
+let rp_lookup t rs ~with_cas key =
   match Rp_ht.find rs.rp key with
   | None ->
       Rp_obs.Counter.incr t.get_misses;
       heat_miss t key;
-      `Miss
+      miss_reply
   | Some item ->
-      if Item.is_expired item ~now then begin
-        (* Slow path: expiry needs the update lock. *)
-        (match expired_acc with
-        | Some acc -> acc := key :: !acc
-        | None -> rp_expire_if_dead t rs ~now key);
+      if item.Item.exptime > 0.0 && Item.is_expired item ~now:(t.clock ())
+      then begin
         Rp_obs.Counter.incr t.get_misses;
         heat_miss t key;
-        `Miss
+        placeholder key expired_tag
       end
-      else if Item.is_cold item then `Cold (* hit/miss counted at resolution *)
+      else if Item.is_cold item then
+        placeholder key cold_tag (* hit/miss counted at resolution *)
       else begin
-        Item.touch_access item ~now;
+        Item.mark_referenced item;
         Rp_obs.Counter.incr t.get_hits;
         heat_hit t key item.data;
-        `Hit (value_of_item ~with_cas key item)
+        value_of_item ~with_cas key item
       end
+
+(* The batch's reply list, built in key order with misses dropped. *)
+let rec rp_lookup_all t rs ~with_cas = function
+  | [] -> []
+  | key :: rest ->
+      let v = rp_lookup t rs ~with_cas key in
+      if v == miss_reply then rp_lookup_all t rs ~with_cas rest
+      else v :: rp_lookup_all t rs ~with_cas rest
 
 (* Resolve a cold hit: one positioned segment read, then reinsert under
    the key's update stripe (promote-on-access). The disk read happens
@@ -830,7 +865,7 @@ let rec promote_attempt t rs ~with_cas ~hooks key tries =
   | Some item -> (
       match item.Item.location with
       | Item.Hot ->
-          Item.touch_access item ~now;
+          Item.mark_referenced item;
           Rp_obs.Counter.incr t.get_hits;
           heat_hit t key item.data;
           Some (value_of_item ~with_cas key item)
@@ -924,56 +959,69 @@ let get_lock t ls ?(with_cas = false) key =
           None
       | Some entry ->
           Lru.touch ls.lru entry.node;
-          Item.touch_access entry.item ~now;
           Rp_obs.Counter.incr t.get_hits;
           heat_hit t key entry.item.data;
           Some (value_of_item ~with_cas key entry.item))
+
+(* Settle a reply list's placeholders once no read section is open:
+   expired keys are reaped (each under its own stripe) and dropped, then
+   cold hits are promoted in place, so response order is preserved. *)
+let resolve_placeholders t rs ~with_cas replies =
+  let now = t.clock () in
+  List.iter
+    (fun (v : Protocol.value) ->
+      if v.vdata == expired_tag then rp_expire_if_dead t rs ~now v.vkey)
+    replies;
+  List.filter_map
+    (fun (v : Protocol.value) ->
+      if v.vdata == expired_tag then None
+      else if v.vdata == cold_tag then promote_and_get t rs ~with_cas v.vkey
+      else Some v)
+    replies
 
 let get t key =
   Rp_obs.Counter.incr t.cmd_get;
   match t.state with
   | Lock_state ls -> get_lock t ls key
-  | Rp_state rs -> (
-      match get_rp_raw t rs key with
-      | `Hit v -> Some v
-      | `Miss -> None
-      | `Cold -> promote_and_get t rs ~with_cas:false key)
+  | Rp_state rs ->
+      let v = rp_lookup t rs ~with_cas:false key in
+      if v == miss_reply then None
+      else if is_placeholder v then
+        match resolve_placeholders t rs ~with_cas:false [ v ] with
+        | v :: _ -> Some v
+        | [] -> None
+      else Some v
 
 (* The multiget fast path the event loop's batch dispatch hits: one
    [cmd_get] add for the whole batch and — on the Rp backend — one
    read-side critical section spanning every lookup (inner sections nest
-   for free), instead of a counter bump and section per key. *)
+   for free), instead of a counter bump and section per key. A batch of
+   hits and misses allocates its reply list and nothing per key besides
+   (the section is entered by hand: a [Flavour.with_read] closure would
+   allocate per batch); only a batch holding a placeholder pays for the
+   resolution pass. *)
 let get_many t ?(with_cas = false) keys =
   Rp_obs.Counter.add t.cmd_get (List.length keys);
   match t.state with
   | Lock_state ls -> List.filter_map (fun key -> get_lock t ls ~with_cas key) keys
   | Rp_state rs ->
-      let expired_acc = ref [] in
       let section = Rp_trace.span_begin_sampled ~arg:(List.length keys) k_read_section in
-      let pass =
-        Flavour.with_read (Rp_ht.flavour rs.rp) (fun () ->
-            List.map
-              (fun key -> (key, get_rp_raw t rs ~with_cas ~expired_acc key))
-              keys)
+      let fl = Rp_ht.flavour rs.rp in
+      fl.Flavour.read_enter ();
+      let replies =
+        match rp_lookup_all t rs ~with_cas keys with
+        | r ->
+            fl.Flavour.read_exit ();
+            r
+        | exception e ->
+            fl.Flavour.read_exit ();
+            Rp_trace.span_end_sampled k_read_section section;
+            raise e
       in
       Rp_trace.span_end_sampled k_read_section section;
-      (match !expired_acc with
-      | [] -> ()
-      | dead ->
-          (* Reap outside the batch read section, each key under its own
-             stripe. *)
-          let now = t.clock () in
-          List.iter (fun key -> rp_expire_if_dead t rs ~now key) dead);
-      (* Cold hits resolve here, after the section closed — promotion
-         takes stripes and reads disk, neither of which belongs inside a
-         batch-wide read section. Response order is preserved. *)
-      List.filter_map
-        (fun (key, outcome) ->
-          match outcome with
-          | `Hit v -> Some v
-          | `Miss -> None
-          | `Cold -> promote_and_get t rs ~with_cas key)
-        pass
+      if List.exists is_placeholder replies then
+        resolve_placeholders t rs ~with_cas replies
+      else replies
 
 (* --- storage commands --- *)
 
@@ -1394,7 +1442,7 @@ let tier_relocate t ~key ~from_ ~relocate =
                     Item.make ~cas:item.Item.cas
                       ~location:(Item.Cold { segment; offset; len })
                       ~flags:item.Item.flags ~exptime:item.Item.exptime
-                      ~data:"" ~now:(Atomic.get item.Item.last_access) ()
+                      ~data:"" ~now:item.Item.created ()
                   in
                   (* Same-size marker swap: publish directly (no queue or
                      tier bookkeeping — old frame is the caller's). *)

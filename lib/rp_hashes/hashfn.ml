@@ -15,15 +15,21 @@ let splitmix64 x =
   let x = (x lxor (x lsr 27)) * k_mix3 in
   (x lxor (x lsr 31)) land mask63
 
-let fnv1a_fold ~len ~get =
+(* Direct loops: a fold shared over a [get] closure would allocate the
+   closure and make an indirect call per byte on every table lookup. *)
+let fnv1a_string s =
   let h = ref fnv_offset in
-  for i = 0 to len - 1 do
-    h := (!h lxor Char.code (get i)) * fnv_prime
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * fnv_prime
   done;
   splitmix64 !h
 
-let fnv1a_string s = fnv1a_fold ~len:(String.length s) ~get:(String.get s)
-let fnv1a_bytes b = fnv1a_fold ~len:(Bytes.length b) ~get:(Bytes.get b)
+let fnv1a_bytes b =
+  let h = ref fnv_offset in
+  for i = 0 to Bytes.length b - 1 do
+    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * fnv_prime
+  done;
+  splitmix64 !h
 
 let jenkins_string s =
   let h = ref 0 in

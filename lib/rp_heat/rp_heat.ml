@@ -20,14 +20,17 @@ module Sketch = Sketch
 
 type t = {
   k : int;
-  (* Head sampling: only every [sample_every]-th note on a stripe does
-     sketch + histogram work; the off-sample cost is one private counter
-     bump. Exposition multiplies counts back up, so reported magnitudes
-     stay stream-calibrated and ratios (key shares, distribution shapes)
-     are unbiased. This is what holds the note path inside the 1.15x
-     GET budget — the full record costs ~5x the whole allowance. *)
+  (* Head sampling: one note in [sample_every] on a stripe (on average)
+     does sketch + histogram work; the off-sample cost is one private
+     countdown decrement. Exposition multiplies counts back up, so
+     reported magnitudes stay stream-calibrated and ratios (key shares,
+     distribution shapes) are unbiased. This is what holds the note path
+     inside the 1.15x GET budget — the full record costs ~5x the whole
+     allowance. *)
   sample_every : int;
-  samplers : int array;  (* stripe-strided tick counters, pad 8 *)
+  (* Per stripe, one padded [Rp_obs.Stripe.stride]-word row:
+     [countdown; lcg state; ...]. *)
+  samplers : int array;
   hits : Sketch.t;
   misses : Sketch.t;
   mutations : Sketch.t;
@@ -61,7 +64,7 @@ let create ~k ?(sample_every = 16) () =
   {
     k;
     sample_every;
-    samplers = Array.make (Rp_obs.Stripe.capacity * 8) 0;
+    samplers = Array.make (Rp_obs.Stripe.capacity * Rp_obs.Stripe.stride) 0;
     hits = Sketch.create ~k;
     misses = Sketch.create ~k;
     mutations = Sketch.create ~k;
@@ -85,30 +88,50 @@ let hits t = t.hits
 let misses t = t.misses
 let mutations t = t.mutations
 
-(* The note-path gate: kill switch, then this stripe's sampler. True
-   with probability 1/sample_every — the only case that pays for sketch
-   and histogram work. The sampler is a per-stripe LCG rather than a
-   stride counter: a stride phase-locks with periodic key replays
-   (cycling an array whose length shares a factor with the period
-   samples the same positions every lap, uniformizing the sketch), while
-   LCG high bits are unbiased against any replay pattern. *)
+(* Reload the countdown in cell [i] (its stripe's row) with a gap drawn
+   uniformly from [1, 2 * sample_every - 1] by the stripe's LCG: its
+   high bits masked to [0, 2 * sample_every - 1], rejecting 0
+   (power-of-two mask plus rejection, so the draw is exactly uniform).
+   The mean gap is exactly [sample_every], so the long-run sampled share
+   is 1/sample_every and the scaled exposition stays unbiased. *)
+let rec reload t i =
+  let st =
+    (Array.unsafe_get t.samplers (i + 1) * 2685821657736338717)
+    + 1442695040888963407
+  in
+  Array.unsafe_set t.samplers (i + 1) st;
+  let gap = (st lsr 33) land ((2 * t.sample_every) - 1) in
+  if gap = 0 then reload t i else Array.unsafe_set t.samplers i gap
+
+(* The note-path gate: this stripe's countdown, then the kill switch —
+   the off-sample note is one private decrement, the sampled one (1 in
+   [sample_every] on average) pays for a reload plus the sketch and
+   histogram work. A countdown ticking while the plane is disabled
+   records nothing anyone reads, so the switch is only consulted on
+   expiry. The gaps are random rather than a fixed stride: a
+   stride phase-locks with periodic key replays (cycling an array whose
+   length shares a factor with the period samples the same positions
+   every lap, uniformizing the sketch), while independent random gaps
+   cannot lock onto any replay period. *)
 let[@inline] tick t =
-  Rp_obs.Stripe.is_enabled ()
-  && begin
-       let i = Rp_obs.Stripe.index () * 8 in
-       let st =
-         (Array.unsafe_get t.samplers i * 2685821657736338717)
-         + 1442695040888963407
-       in
-       Array.unsafe_set t.samplers i st;
-       (st lsr 33) land (t.sample_every - 1) = 0
-     end
+  let i = Rp_obs.Stripe.index () * Rp_obs.Stripe.stride in
+  let c = Array.unsafe_get t.samplers i - 1 in
+  if c > 0 then begin
+    Array.unsafe_set t.samplers i c;
+    false
+  end
+  else begin
+    reload t i;
+    Rp_obs.Stripe.is_enabled ()
+  end
 
 (* The exemplar riding this record: the in-flight request's trace id,
    but only when that request is head-sampled — an unsampled id points
    at a span whose detail the recorder dropped. *)
 let[@inline] exemplar_now () =
   if Rp_trace.sampling_now () then Rp_trace.current_trace_id () else 0
+
+let countdowns t = t.samplers
 
 let note_hit t key ~vbytes =
   if tick t then begin

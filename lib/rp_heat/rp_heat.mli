@@ -13,8 +13,9 @@
     obeys the same global kill switch; a store created with
     [--heat-topk 0] has no [t] at all, so the hot-path cost of an
     unconfigured plane is a single branch. An enabled plane head-samples
-    the note path (every [sample_every]-th operation per stripe pays for
-    sketch + histogram work, the rest bump one private counter), which
+    the note path (one operation in [sample_every] per stripe, at random
+    gaps averaging exactly [sample_every], pays for sketch + histogram
+    work; the rest decrement one private countdown), which
     is what keeps a GET with the plane on inside the 1.15x overhead
     budget. All exposed counts are scaled back to stream units. *)
 
@@ -24,9 +25,9 @@ type t
 
 val create : k:int -> ?sample_every:int -> unit -> t
 (** [create ~k ()] builds a plane tracking [k] heavy hitters per sketch
-    per domain, head-sampling one note in [sample_every] (default 16;
-    pass 1 to record every operation, e.g. in tests wanting exact
-    counts). Raises [Invalid_argument] when [k <= 0] or [sample_every]
+    per domain, head-sampling one note in [sample_every] on average
+    (default 16; pass 1 to record every operation, e.g. in tests wanting
+    exact counts). Raises [Invalid_argument] when [k <= 0] or [sample_every]
     is not a power of two. *)
 
 val k : t -> int
@@ -41,6 +42,15 @@ val mutations : t -> Sketch.t
 
 val note_hit : t -> string -> vbytes:int -> unit
 (** A GET hit on [key] returning a [vbytes]-byte payload. *)
+
+val countdowns : t -> int array
+(** The note path's per-stripe sampling countdowns: the calling
+    domain's cell is at [Rp_obs.Stripe.index () * Rp_obs.Stripe.stride].
+    Every [note_*] decrements it and is sampled when it runs out. A
+    caller on the hottest path may run the off-sample case inline —
+    store the decremented value while it stays positive, and otherwise
+    call the [note_*] function, which makes the final decrement itself —
+    to save the call. *)
 
 val note_miss : t -> string -> unit
 

@@ -92,22 +92,17 @@ let make_slot k =
   }
 
 (* Word-at-a-time for the common protocol-sized key (two 8-byte loads
-   + one mix), FNV for the short tail. Bytes are assembled by hand —
-   [Bytes.get_int64_le] would box an [Int64] per call, and that
-   allocation is what the GET p99 gate sees. A full-hash collision only
-   costs the losing key its index cell — the string compare in [record]
-   still separates entries — so mixing quality buys accuracy, not
-   correctness. *)
-let[@inline] word8 s i =
-  let b j = Char.code (String.unsafe_get s (i + j)) in
-  b 0
-  lor (b 1 lsl 8)
-  lor (b 2 lsl 16)
-  lor (b 3 lsl 24)
-  lor (b 4 lsl 32)
-  lor (b 5 lsl 40)
-  lor (b 6 lsl 48)
-  lor (b 7 lsl 56)
+   + one mix), FNV for the short tail. The loads use the string
+   primitive directly, whose [int64] result [Int64.to_int] consumes
+   unboxed: the [String.get_int64_le] function would box an [Int64] per
+   call, and that allocation is what the GET gate sees. The hash need
+   only agree with itself within one process, so native byte order
+   serves. A full-hash collision only costs the losing key its index
+   cell — the string compare in [record] still separates entries — so
+   mixing quality buys accuracy, not correctness. *)
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+
+let[@inline] word8 s i = Int64.to_int (get64u s i)
 
 let hash_key s =
   let len = String.length s in
@@ -120,21 +115,21 @@ let hash_key s =
    hand) whose count sits at the cached minimum. A fruitless full
    revolution means every count outgrew the cache; re-anchor with one
    exact argmin scan. *)
+let rec scan_victim k s i tries =
+  if tries = k then begin
+    let m = ref 0 in
+    for e = 1 to k - 1 do
+      if Array.unsafe_get s.counts e < Array.unsafe_get s.counts !m then
+        m := e
+    done;
+    s.min_count <- Array.unsafe_get s.counts !m;
+    !m
+  end
+  else if Array.unsafe_get s.counts i <= s.min_count then i
+  else scan_victim k s (if i + 1 = k then 0 else i + 1) (tries + 1)
+
 let pick_victim k s =
-  let rec scan i tries =
-    if tries = k then begin
-      let m = ref 0 in
-      for e = 1 to k - 1 do
-        if Array.unsafe_get s.counts e < Array.unsafe_get s.counts !m then
-          m := e
-      done;
-      s.min_count <- Array.unsafe_get s.counts !m;
-      !m
-    end
-    else if Array.unsafe_get s.counts i <= s.min_count then i
-    else scan (if i + 1 = k then 0 else i + 1) (tries + 1)
-  in
-  let m = scan s.scan 0 in
+  let m = scan_victim k s s.scan 0 in
   s.scan <- (if m + 1 = k then 0 else m + 1);
   m
 
@@ -155,18 +150,21 @@ let[@inline] cell_entry s c h key =
    displaced by miss traffic; when both cells are strong the newcomer
    simply stays unmapped and re-enters as a duplicate next time, which
    the merge absorbs. *)
+let[@inline] weak s c =
+  let v = Array.unsafe_get s.idx c in
+  v = 0 || Array.unsafe_get s.counts (v - 1) <= s.min_count + 1
+
 let place s cell0 e =
-  let weak c =
-    let v = Array.unsafe_get s.idx c in
-    v = 0 || Array.unsafe_get s.counts (v - 1) <= s.min_count + 1
-  in
-  if weak cell0 then Array.unsafe_set s.idx cell0 (e + 1)
+  if weak s cell0 then Array.unsafe_set s.idx cell0 (e + 1)
   else begin
     let c1 = cell0 lxor 1 in
-    if weak c1 then Array.unsafe_set s.idx c1 (e + 1)
+    if weak s c1 then Array.unsafe_set s.idx c1 (e + 1)
   end
 
-let record t ?(exemplar = 0) key =
+(* Top-level helpers and a plain [~exemplar] label (an optional argument
+   would box its [Some]) keep recording free of closures and
+   allocation. *)
+let record t ~exemplar key =
   if Rp_obs.Stripe.is_enabled () then begin
     let si = Rp_obs.Stripe.index () in
     let s =

@@ -21,9 +21,10 @@ val create : k:int -> t
 
 val k : t -> int
 
-val record : t -> ?exemplar:int -> string -> unit
+val record : t -> exemplar:int -> string -> unit
 (** Count one occurrence in the calling domain's instance. A non-zero
-    [exemplar] (a trace id) is remembered on the entry. No-op while the
+    [exemplar] (a trace id) is remembered on the entry; pass 0 for none.
+    Allocates nothing once the domain's instance exists. No-op while the
     observability plane is disabled ({!Rp_obs.Stripe.set_enabled}). *)
 
 val top : ?n:int -> t -> entry list

@@ -27,7 +27,7 @@ let bucket_of_value v =
       incr b;
       v := !v lsr 1
     done;
-    min (buckets - 1) !b
+    if !b < buckets - 1 then !b else buckets - 1
   end
 
 (* Inclusive upper bound of bucket [i]; [max_int] for the last. *)
@@ -36,13 +36,17 @@ let upper_bound i =
   else if i >= buckets - 1 then max_int
   else (1 lsl i) - 1
 
+(* Int comparisons are spelled out on the recording path: [Stdlib.min]
+   and [max] are polymorphic and compile to a call into the runtime's
+   generic compare. *)
 let observe t v =
   if Stripe.is_enabled () then begin
     let row = Stripe.index () * row_stride in
     let b = row + bucket_of_value v in
     Array.unsafe_set t.rows b (Array.unsafe_get t.rows b + 1);
     let s = row + sum_off in
-    Array.unsafe_set t.rows s (Array.unsafe_get t.rows s + max v 0);
+    let v' = if v > 0 then v else 0 in
+    Array.unsafe_set t.rows s (Array.unsafe_get t.rows s + v');
     let m = row + max_off in
     if v > Array.unsafe_get t.rows m then Array.unsafe_set t.rows m v
   end

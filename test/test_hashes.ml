@@ -26,6 +26,25 @@ let test_fnv1a_bytes_agrees_with_string () =
     (Rp_hashes.Hashfn.fnv1a_string s)
     (Rp_hashes.Hashfn.fnv1a_bytes (Bytes.of_string s))
 
+(* Pinned outputs: the store's update stripes, the table's buckets and
+   the heat sketch's index all derive from fnv1a_string, so a rewrite of
+   the loop must return exactly these values (recorded from the original
+   fold-based implementation). *)
+let test_fnv1a_pinned () =
+  let long = String.init 250 (fun i -> Char.chr (32 + (i * 7 mod 95))) in
+  List.iter
+    (fun (name, s, expected) ->
+      Alcotest.(check int) ("fnv1a_string " ^ name) expected
+        (Rp_hashes.Hashfn.fnv1a_string s);
+      Alcotest.(check int) ("fnv1a_bytes " ^ name) expected
+        (Rp_hashes.Hashfn.fnv1a_bytes (Bytes.of_string s)))
+    [
+      ("empty", "", 2396799110097340942);
+      ("a", "a", 4039713432635483274);
+      ("key:00000001", "key:00000001", 4432821258621981228);
+      ("250-byte key", long, 1372486842620394223);
+    ]
+
 (* Low-bit diffusion matters because bucket selection masks low bits:
    sequential integer keys must spread across buckets near-uniformly. *)
 let test_low_bit_diffusion () =
@@ -127,6 +146,7 @@ let () =
           Alcotest.test_case "non-negative" `Quick test_hashes_non_negative;
           Alcotest.test_case "fnv1a bytes = string" `Quick
             test_fnv1a_bytes_agrees_with_string;
+          Alcotest.test_case "fnv1a pinned values" `Quick test_fnv1a_pinned;
           Alcotest.test_case "low-bit diffusion (int keys)" `Quick
             test_low_bit_diffusion;
           Alcotest.test_case "low-bit diffusion (string keys)" `Quick

@@ -96,9 +96,15 @@ let test_item_cas_unique () =
 
 let test_item_touch_access () =
   let item = Item.make ~flags:0 ~exptime:0.0 ~data:"x" ~now:1.0 () in
-  Alcotest.(check (float 1e-9)) "initial access" 1.0 (Atomic.get item.last_access);
-  Item.touch_access item ~now:9.0;
-  Alcotest.(check (float 1e-9)) "bumped" 9.0 (Atomic.get item.last_access)
+  Alcotest.(check bool) "fresh item unreferenced" false (Item.is_referenced item);
+  Item.mark_referenced item;
+  Alcotest.(check bool) "access sets the bit" true (Item.is_referenced item);
+  Item.mark_referenced item;
+  Alcotest.(check bool) "a second access keeps it set" true
+    (Item.is_referenced item);
+  Item.clear_referenced item;
+  Alcotest.(check bool) "second chance clears it" false
+    (Item.is_referenced item)
 
 let test_item_size_accounting () =
   let item = Item.make ~flags:0 ~exptime:0.0 ~data:"abcd" ~now:0.0 () in

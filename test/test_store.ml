@@ -239,6 +239,60 @@ let test_clock_budget_all_hot () =
   Alcotest.(check bool) "sweep latency non-negative" true
     (stat store "eviction_sweep_us_sum" >= 0)
 
+(* CLOCK referenced-bit semantics, each against a 4-item budget where
+   the sweep pops keys in insertion order. [get_data] sets the bit of
+   any key it hits, so each test only reads a key once its own
+   assertion no longer depends on that key's bit. *)
+
+let test_clock_read_once_survives () =
+  let item_size = chunk_for (2 + 10 + Item.overhead_bytes) in
+  let store, _ = make_store ~max_bytes:(4 * item_size) Store.Rp in
+  List.iter (fun k -> set_ok store k (String.make 10 'v')) [ "k0"; "k1"; "k2"; "k3" ];
+  ignore (Store.get store "k0");
+  set_ok store "k4" (String.make 10 'v');
+  Alcotest.(check int) "one chance granted" 1 (stat store "clock_second_chances");
+  Alcotest.(check (option string)) "unread neighbour evicted" None
+    (get_data store "k1");
+  Alcotest.(check (option string)) "key read once survives"
+    (Some (String.make 10 'v'))
+    (get_data store "k0")
+
+let test_clock_overwrite_counts () =
+  let item_size = chunk_for (2 + 10 + Item.overhead_bytes) in
+  let store, _ = make_store ~max_bytes:(4 * item_size) Store.Rp in
+  List.iter (fun k -> set_ok store k (String.make 10 'v')) [ "k0"; "k1"; "k2"; "k3" ];
+  set_ok store "k0" (String.make 10 'w');
+  set_ok store "k4" (String.make 10 'v');
+  Alcotest.(check int) "the overwrite earned a chance" 1
+    (stat store "clock_second_chances");
+  Alcotest.(check (option string)) "unread neighbour evicted" None
+    (get_data store "k1");
+  Alcotest.(check (option string)) "overwritten key survives"
+    (Some (String.make 10 'w'))
+    (get_data store "k0")
+
+let test_clock_chance_clears_bit () =
+  let item_size = chunk_for (2 + 10 + Item.overhead_bytes) in
+  let store, _ = make_store ~max_bytes:(4 * item_size) Store.Rp in
+  List.iter (fun k -> set_ok store k (String.make 10 'v')) [ "k0"; "k1"; "k2"; "k3" ];
+  ignore (Store.get store "k0");
+  (* First lap: k0 is requeued behind k4, k1 goes. *)
+  set_ok store "k4" (String.make 10 'v');
+  Alcotest.(check int) "one chance granted" 1 (stat store "clock_second_chances");
+  (* k2, k3 and k4 go next; the fourth set reaches k0 again, untouched
+     since its chance. *)
+  List.iter (fun k -> set_ok store k (String.make 10 'v')) [ "k5"; "k6"; "k7"; "k8" ];
+  Alcotest.(check int) "no second chance on the next lap" 1
+    (stat store "clock_second_chances");
+  Alcotest.(check (option string)) "untouched key evicted on the next lap" None
+    (get_data store "k0");
+  List.iter
+    (fun k ->
+      Alcotest.(check (option string)) (k ^ " resident")
+        (Some (String.make 10 'v'))
+        (get_data store k))
+    [ "k5"; "k6"; "k7"; "k8" ]
+
 (* Qsbr-mode coverage: the expiry and eviction slow paths run locked
    update-side code (synchronize included) from the mutating caller, which
    under QSBR is itself a registered reader — the single-threaded tests
@@ -341,6 +395,71 @@ let test_get_many backend () =
     [ ("a", "1"); ("b", "2") ]
     (List.map (fun (v : Protocol.value) -> (v.vkey, v.vdata)) values)
 
+let test_get_many_expired_in_batch () =
+  (* An expired key mid-batch is reaped after the read section and
+     dropped from the reply; the live keys keep their order. *)
+  let store, now = make_store Store.Rp in
+  set_ok store "a" "1";
+  ignore (Store.set store ~key:"dying" ~flags:0 ~exptime:10 ~data:"x");
+  set_ok store "b" "2";
+  now := !now +. 11.0;
+  let values = Store.get_many store [ "a"; "dying"; "b"; "dying" ] in
+  Alcotest.(check (list (pair string string)))
+    "live keys in order"
+    [ ("a", "1"); ("b", "2") ]
+    (List.map (fun (v : Protocol.value) -> (v.vkey, v.vdata)) values);
+  Alcotest.(check int) "expired key reaped" 2 (Store.items store);
+  Alcotest.(check int) "both lookups counted as misses" 2
+    (stat store "get_misses")
+
+(* Deterministic allocation gate for the Rp GET hit: [Gc.minor_words] is
+   an exact count of this domain's minor allocation, so the budget cannot
+   flake with host load. A hit may allocate its reply (the value record,
+   plus the list cell or option around it) and the table's [Some item].
+   Measured on OCaml 5.1: 14 words for [get_many [k]] and 11 for
+   [get k]; the budgets leave two words of slack, less than a boxed
+   access timestamp or a per-key tuple would add. The heat-on store
+   samples one note in 2^30 on average, so after the warm-up hit (which
+   is sampled and creates the domain's sketch slot) every measured note
+   stays off-sample. *)
+let get_many_word_budget = 16.
+let get_word_budget = 13.
+
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  let w1 = Gc.minor_words () in
+  let e0 = Gc.minor_words () in
+  let e1 = Gc.minor_words () in
+  (* subtract what reading the counter itself allocates *)
+  (w1 -. w0) -. (e1 -. e0)
+
+let test_get_hit_allocation () =
+  List.iter
+    (fun (label, heat_topk) ->
+      let store =
+        Store.create ~backend:Store.Rp ~rcu_mode:Store.Qsbr ~initial_size:64
+          ~heat_topk ~heat_sample:(1 lsl 30) ()
+      in
+      set_ok store "key:00000001" "value";
+      let k = "key:00000001" in
+      let keys = [ k ] in
+      ignore (Store.get_many store keys);
+      ignore (Store.get store k);
+      let gm = minor_words_of (fun () -> ignore (Store.get_many store keys)) in
+      let g = minor_words_of (fun () -> ignore (Store.get store k)) in
+      Printf.printf "%s: get_many [k] %.0f words, get k %.0f words\n%!" label
+        gm g;
+      if gm > get_many_word_budget then
+        Alcotest.failf "%s: get_many hit allocated %.0f words (budget %.0f)"
+          label gm get_many_word_budget;
+      if g > get_word_budget then
+        Alcotest.failf "%s: get hit allocated %.0f words (budget %.0f)" label g
+          get_word_budget;
+      Alcotest.(check int) "every lookup hit" 4 (stat store "get_hits");
+      Store.reader_offline store)
+    [ ("heat off", 0); ("heat on", 64) ]
+
 (* Model-based: both backends against Hashtbl (no expiry, no eviction). *)
 let model_property name backend =
   QCheck.Test.make
@@ -403,6 +522,12 @@ let () =
             test_rp_eviction_second_chance;
           Alcotest.test_case "second chances bounded per sweep" `Quick
             test_clock_budget_all_hot;
+          Alcotest.test_case "clock: read once survives" `Quick
+            test_clock_read_once_survives;
+          Alcotest.test_case "clock: overwrite counts as access" `Quick
+            test_clock_overwrite_counts;
+          Alcotest.test_case "clock: chance clears the bit" `Quick
+            test_clock_chance_clears_bit;
         ] );
       ( "qsbr mode",
         [
@@ -413,6 +538,13 @@ let () =
       ("exptime logged absolute", per_backend test_exptime_logged_absolute);
       ("stats", per_backend test_stats);
       ("get_many", per_backend test_get_many);
+      ( "get_many rp",
+        [
+          Alcotest.test_case "expired key mid-batch" `Quick
+            test_get_many_expired_in_batch;
+          Alcotest.test_case "hit allocation budget" `Quick
+            test_get_hit_allocation;
+        ] );
       ( "model",
         List.map (fun (n, b) -> QCheck_alcotest.to_alcotest (model_property n b)) backends
       );
