@@ -285,7 +285,7 @@ let run_smoke () =
      \"lookup_hits\": %d,\n  \"trace_events\": %d,\n  \"table\": %s,\n  \
      \"store\": %s\n}\n"
     elapsed !hits
-    (Rp_obs.Trace.emitted Rp_obs.Trace.default)
+    (Rp_trace.spans_recorded ())
     (Rp_obs.Registry.to_json reg)
     (Rp_obs.Registry.to_json (Memcached.Store.registry store));
   close_out oc;
@@ -805,7 +805,7 @@ let run_cluster_bench () =
     Printf.printf "cluster bench: live stream never drained\n";
     exit 1
   end;
-  let stats = Memcached.Store.cluster_stats follower in
+  let stats = Option.get (Memcached.Store.section follower "cluster") in
   let stat name =
     match List.assoc_opt name stats with Some v -> v | None -> "0"
   in
@@ -1185,7 +1185,8 @@ let run_heat_bench () =
     nn > 0 && go 0
   in
   let in_stats =
-    List.assoc_opt "heat_top_hits_0_key" (Memcached.Store.heat_stats store_on)
+    List.assoc_opt "heat_top_hits_0_key"
+      (Option.get (Memcached.Store.section store_on "heat"))
     = Some topkey
   in
   let in_prom =

@@ -283,6 +283,9 @@ let run backend port socket max_mb metrics_port _event_loop workers data_dir
             exit 2)
       tier_dir
   in
+  (match (guard, tier) with
+  | Some g, Some t -> Memcached.Guard.watch_tier g t
+  | _ -> ());
   (* Recovery must finish before the listeners open: replay goes through
      the normal update path and must not interleave with client writes. *)
   let persist =

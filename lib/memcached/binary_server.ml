@@ -114,8 +114,8 @@ let handle_counter store (request : request) ~decrement =
         end
   end
 
-(* Mirror of {!Dispatch.sheddable}: the opcodes the overload guard may
-   fast-fail. Gets (quiet or not) always go through. *)
+(* Mirror of [Dispatch.refused]: the opcodes the store's gate is asked
+   about. Gets (quiet or not) always go through. *)
 let sheddable_opcode = function
   | Set | Add | Replace | Delete | Increment | Decrement | Append | Prepend
   | Touch | Flush ->
@@ -123,21 +123,15 @@ let sheddable_opcode = function
   | Get | GetQ | GetK | GetKQ | GAT | GATQ | Noop | Version | Stat | Quit ->
       false
 
-let shed store (request : request) =
-  match Store.guard store with
-  | Some g when sheddable_opcode request.opcode && not (Rp_guard.admit_mutation g)
-    ->
-      Rp_guard.note_shed g;
-      true
-  | _ -> false
-
 let handle store (request : request) : response list =
-  if shed store request then [ reply request ~status:Busy ]
-  else if Store.read_only store && sheddable_opcode request.opcode then
-    (* Following replica: mutations only arrive via the replication
-       stream, never from clients. *)
-    [ reply request ~status:Read_only ]
-  else
+  let refused =
+    if sheddable_opcode request.opcode then Store.refusal store Store.Mutation
+    else None
+  in
+  match refused with
+  | Some Store.Overloaded -> [ reply request ~status:Busy ]
+  | Some Store.Read_only -> [ reply request ~status:Read_only ]
+  | None -> (
   match request.opcode with
   | Get -> handle_get store request ~with_key:false ~quiet:false
   | GetQ -> handle_get store request ~with_key:false ~quiet:true
@@ -177,24 +171,9 @@ let handle store (request : request) : response list =
   | Stat -> (
       (* The key selects the section, as [stats <arg>] does in text:
          one response per stat, then an empty-key terminator. *)
-      let section =
-        match request.key with
-        | "" -> Some (Store.stats store)
-        | "rp" -> Some (Store.rp_stats store)
-        | "persist" -> Some (Store.persist_stats store)
-        | "trace" -> Some (Store.trace_stats store)
-        | "guard" -> Some (Store.guard_stats store)
-        | "tier" -> Some (Store.tier_stats store)
-        | "cluster" -> Some (Store.cluster_stats store)
-        | "heat" -> Some (Store.heat_stats store)
-        | "reset" ->
-            Store.reset_stats store;
-            Some []
-        | _ -> None
-      in
-      match section with
+      match Store.section store request.key with
       | None -> [ reply request ~status:Invalid_arguments ]
       | Some stats ->
           List.map (fun (k, v) -> reply request ~key:k ~value:v) stats
           @ [ reply request ])
-  | Quit -> []
+  | Quit -> [])

@@ -1,6 +1,7 @@
 (* Cluster glue: wires Rp_cluster's replication plane into a running
-   store + persistence manager, and backs the [stats cluster] section
-   and the [cluster promote] admin command. *)
+   store + persistence manager as the store's "cluster" plane: the
+   [stats cluster] section, a replica's read-only gate, and the
+   [cluster promote] admin command. *)
 
 module P = Rp_persist
 
@@ -22,24 +23,32 @@ type follower_state = {
 type state = L of leader_state | F of follower_state
 
 type t = {
-  store : Store.t;
   mutable role : role;
   mutable state : state;
   mutable stopped : bool;
 }
 
-let role t = t.role
 let role_name = function Leader -> "leader" | Replica -> "replica" | Promoted -> "promoted"
 
 let k_apply = Rp_trace.intern "repl.apply"
 
+(* Both roles' plane: [stats cluster] leads with the role, then the role's
+   own live lines; the role gauge goes in the registry. *)
+let cluster_plane t store info =
+  let live () =
+    ("cluster_enabled", "1") :: ("cluster_role", role_name t.role) :: info ()
+  in
+  Rp_obs.Registry.gauge (Store.registry store)
+    ~help:"cluster role (1 leader, 2 replica, 3 promoted)" "cluster_role"
+    (fun () -> match t.role with Leader -> 1. | Replica -> 2. | Promoted -> 3.);
+  Store.plane "cluster" live
+
 (* --- leader --- *)
 
-let leader_info t ls () =
+let leader_info ls () =
   let fstats = Rp_cluster.Repl_leader.stats ls.l_listener in
   let base =
     [
-      ("cluster_role", role_name t.role);
       ("cluster_repl_port", string_of_int (Rp_cluster.Repl_leader.port ls.l_listener));
       ( "cluster_records_streamed",
         string_of_int (Rp_cluster.Repl_leader.records_streamed ls.l_listener) );
@@ -68,18 +77,15 @@ let lead ~store ~persist addr =
       addr
   in
   let ls = { l_listener = listener; l_persist = persist } in
-  let t = { store; role = Leader; state = L ls; stopped = false } in
+  let t = { role = Leader; state = L ls; stopped = false } in
   (* The tap runs inside the store's serialization lock: publish only
      enqueues (never blocks on sockets), so the lock hold stays short. *)
   Persist.set_tap persist
     (Some
        (fun ~gen ~trace r ->
          Rp_cluster.Repl_leader.publish listener ~gen ~trace (P.Record.encode r)));
-  Store.set_cluster_info store (Some (leader_info t ls));
+  Store.attach store (cluster_plane t store (leader_info ls));
   let reg = Store.registry store in
-  Rp_obs.Registry.gauge reg ~help:"cluster role (1 leader, 2 replica, 3 promoted)"
-    "cluster_role" (fun () ->
-      match t.role with Leader -> 1. | Replica -> 2. | Promoted -> 3.);
   Rp_obs.Registry.fn_counter reg ~help:"records streamed to followers"
     "cluster_records_streamed_total" (fun () ->
       float_of_int (Rp_cluster.Repl_leader.records_streamed listener));
@@ -95,7 +101,6 @@ let follower_info t fs () =
   let f = fs.f_follower in
   let snap = Rp_obs.Histogram.snapshot fs.f_lag_us in
   [
-    ("cluster_role", role_name t.role);
     ("cluster_leader", fs.f_leader_name);
     ("cluster_connected", if Rp_cluster.Repl_follower.connected f then "1" else "0");
     ("cluster_applied", string_of_int (Rp_cluster.Repl_follower.applied f));
@@ -104,7 +109,7 @@ let follower_info t fs () =
     ("cluster_decode_errors", string_of_int (Rp_obs.Counter.read fs.f_decode_errors));
     ("cluster_apply_lag_us_p50", string_of_int (Rp_obs.Histogram.percentile snap 0.5));
     ("cluster_apply_lag_us_p99", string_of_int (Rp_obs.Histogram.percentile snap 0.99));
-    ("cluster_read_only", if Store.read_only t.store then "1" else "0");
+    ("cluster_read_only", if t.role = Replica then "1" else "0");
   ]
 
 let name_of_sockaddr = function
@@ -118,16 +123,14 @@ let promote t =
       if t.role = Promoted then Error "already promoted"
       else begin
         (* Order matters: stop the stream first so no replicated apply
-           races the first client write, then open the write path. *)
+           races the first client write, then open the write path (the
+           gate admits mutations once the role leaves Replica). *)
         Rp_cluster.Repl_follower.stop fs.f_follower;
         t.role <- Promoted;
-        Store.set_read_only t.store false;
         Ok "promoted"
       end
 
-let follow ~store ?persist ~leader () =
-  ignore persist;
-  Store.set_read_only store true;
+let follow ~store ~leader () =
   let applied = Rp_obs.Counter.create () in
   let decode_errors = Rp_obs.Counter.create () in
   let lag_us = Rp_obs.Histogram.create () in
@@ -168,13 +171,21 @@ let follow ~store ?persist ~leader () =
       f_lag_us = lag_us;
     }
   in
-  let t = { store; role = Replica; state = F fs; stopped = false } in
-  Store.set_cluster_info store (Some (follower_info t fs));
-  Store.set_promote_hook store (Some (fun () -> promote t));
+  let t = { role = Replica; state = F fs; stopped = false } in
+  (* A replica refuses client mutations: its state is the leader's,
+     applied through the replication stream ([Store.replicate] bypasses
+     the gate). *)
+  let gate = function
+    | Store.Mutation when t.role = Replica -> Some Store.Read_only
+    | Store.Mutation | Store.Connection -> None
+  in
+  Store.attach store
+    {
+      (cluster_plane t store (follower_info t fs)) with
+      gate = Some gate;
+      promote = Some (fun () -> promote t);
+    };
   let reg = Store.registry store in
-  Rp_obs.Registry.gauge reg ~help:"cluster role (1 leader, 2 replica, 3 promoted)"
-    "cluster_role" (fun () ->
-      match t.role with Leader -> 1. | Replica -> 2. | Promoted -> 3.);
   Rp_obs.Registry.register_counter reg ~help:"records applied from the stream"
     "cluster_applied_total" applied;
   Rp_obs.Registry.register_counter reg
@@ -199,11 +210,6 @@ let applied t =
   match t.state with
   | L _ -> 0
   | F fs -> Rp_cluster.Repl_follower.applied fs.f_follower
-
-let connected t =
-  match t.state with
-  | L _ -> true
-  | F fs -> Rp_cluster.Repl_follower.connected fs.f_follower
 
 let stop t =
   if not t.stopped then begin

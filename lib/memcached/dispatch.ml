@@ -8,21 +8,13 @@ let stored_reply : Store.stored_result -> Protocol.response = function
   | Store.Not_found -> Protocol.Not_found
   | Store.Too_large -> Protocol.Server_error "object too large for cache"
 
-(* Load shedding: mutations are fast-failed here — before the writer
-   lock, before the op log — while GETs ride the wait-free read path no
-   matter how deep the overload. Shed noreply mutations die silently
-   (the protocol has no error channel for them). *)
-let sheddable : Protocol.request -> bool = function
-  | Protocol.Set _ | Protocol.Add _ | Protocol.Replace _ | Protocol.Append _
-  | Protocol.Prepend _ | Protocol.Cas _ | Protocol.Delete _ | Protocol.Incr _
-  | Protocol.Decr _ | Protocol.Touch _ | Protocol.Flush_all _ ->
-      true
-  | Protocol.Get _ | Protocol.Gets _ | Protocol.Stats _
-  | Protocol.Trace_dump _ | Protocol.Heat_dump _ | Protocol.Cluster_promote
-  | Protocol.Version | Protocol.Quit ->
-      false
-
-let request_noreply : Protocol.request -> bool = function
+(* Admission: mutations are asked about at the store's gate — before the
+   writer lock, before the op log — while GETs ride the wait-free read
+   path no matter how deep the overload. [Some reply] when the gate
+   refuses; a refused noreply mutation dies silently (the protocol has no
+   error channel for it). *)
+let refused store : Protocol.request -> Protocol.response option option =
+  function
   | Protocol.Set { noreply; _ }
   | Protocol.Add { noreply; _ }
   | Protocol.Replace { noreply; _ }
@@ -33,27 +25,23 @@ let request_noreply : Protocol.request -> bool = function
   | Protocol.Incr { noreply; _ }
   | Protocol.Decr { noreply; _ }
   | Protocol.Touch { noreply; _ }
-  | Protocol.Flush_all { noreply } ->
-      noreply
-  | _ -> false
-
-let shed store (request : Protocol.request) =
-  match Store.guard store with
-  | Some g when sheddable request && not (Rp_guard.admit_mutation g) ->
-      Rp_guard.note_shed g;
-      true
-  | _ -> false
+  | Protocol.Flush_all { noreply } -> (
+      match Store.refusal store Store.Mutation with
+      | None -> None
+      | Some _ when noreply -> Some None
+      | Some Store.Overloaded ->
+          Some (Some (Protocol.Server_error "overloaded"))
+      | Some Store.Read_only ->
+          Some (Some (Protocol.Server_error "replica is read-only")))
+  | Protocol.Get _ | Protocol.Gets _ | Protocol.Stats _
+  | Protocol.Trace_dump _ | Protocol.Heat_dump _ | Protocol.Cluster_promote
+  | Protocol.Version | Protocol.Quit ->
+      None
 
 let handle store (request : Protocol.request) : Protocol.response option =
-  if shed store request then
-    if request_noreply request then None
-    else Some (Protocol.Server_error "overloaded")
-  else if Store.read_only store && sheddable request then
-    (* A following replica refuses client mutations: its state is the
-       leader's, applied through the replication stream only. *)
-    if request_noreply request then None
-    else Some (Protocol.Server_error "replica is read-only")
-  else
+  match refused store request with
+  | Some reply -> reply
+  | None -> (
   match request with
   | Protocol.Get keys -> Some (Protocol.Values (Store.get_many store keys))
   | Protocol.Gets keys ->
@@ -105,26 +93,12 @@ let handle store (request : Protocol.request) : Protocol.response option =
         else Protocol.Not_found
       in
       if noreply then None else Some r
-  | Protocol.Stats None -> Some (Protocol.Stats_reply (Store.stats store))
-  | Protocol.Stats (Some "rp") ->
-      Some (Protocol.Stats_reply (Store.rp_stats store))
-  | Protocol.Stats (Some "persist") ->
-      Some (Protocol.Stats_reply (Store.persist_stats store))
-  | Protocol.Stats (Some "trace") ->
-      Some (Protocol.Stats_reply (Store.trace_stats store))
-  | Protocol.Stats (Some "guard") ->
-      Some (Protocol.Stats_reply (Store.guard_stats store))
-  | Protocol.Stats (Some "tier") ->
-      Some (Protocol.Stats_reply (Store.tier_stats store))
-  | Protocol.Stats (Some "cluster") ->
-      Some (Protocol.Stats_reply (Store.cluster_stats store))
-  | Protocol.Stats (Some "heat") ->
-      Some (Protocol.Stats_reply (Store.heat_stats store))
-  | Protocol.Stats (Some "reset") ->
-      Store.reset_stats store;
-      Some (Protocol.Stats_reply [])
-  | Protocol.Stats (Some arg) ->
-      Some (Protocol.Client_error ("unknown stats argument: " ^ arg))
+  | Protocol.Stats arg -> (
+      let name = Option.value arg ~default:"" in
+      match Store.section store name with
+      | Some lines -> Some (Protocol.Stats_reply lines)
+      | None ->
+          Some (Protocol.Client_error ("unknown stats argument: " ^ name)))
   | Protocol.Trace_dump max_events ->
       Some (Protocol.Trace_json (Rp_trace.export_json ?max_events ()))
   | Protocol.Heat_dump n -> Some (Protocol.Trace_json (Store.heat_json ?n store))
@@ -133,11 +107,15 @@ let handle store (request : Protocol.request) : Protocol.response option =
          waiting for a grace period: a worker must not block on it as an
          online QSBR reader. *)
       Store.reader_offline store;
-      match Store.promote store with
-      | Ok _ -> Some Protocol.Ok_reply
-      | Error msg -> Some (Protocol.Server_error msg))
+      let promote = List.find_map (fun (p : Store.plane) -> p.promote) in
+      match promote (Store.planes store) with
+      | None -> Some (Protocol.Server_error "not a replica")
+      | Some promote -> (
+          match promote () with
+          | Ok _ -> Some Protocol.Ok_reply
+          | Error msg -> Some (Protocol.Server_error msg)))
   | Protocol.Flush_all { noreply } ->
       Store.flush_all store;
       if noreply then None else Some Protocol.Ok_reply
   | Protocol.Version -> Some (Protocol.Version_reply Version.string)
-  | Protocol.Quit -> None
+  | Protocol.Quit -> None)

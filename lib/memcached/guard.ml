@@ -3,10 +3,27 @@
 
    [install] attaches the store-level sources and actuators (memory
    pressure, RCU stall signal, Emergency eviction sweep, adaptive trace
-   sampling); [watch_server] and [watch_persist] bolt on the
-   connection-admission and disk-pressure sources once those subsystems
-   exist. The order mirrors the server binary's startup: store -> persist
-   -> server -> [Rp_guard.start]. *)
+   sampling); [watch_tier], [watch_persist] and [watch_server] bolt on
+   the cold-tier, disk-pressure and connection-admission sources once
+   those subsystems exist. The order mirrors the server binary's startup:
+   store -> tier -> persist -> server -> [Rp_guard.start]. *)
+
+(* The guard as a store plane: its ladder is the [stats guard] section,
+   and its gate sheds mutations from Shed up and refuses new connections
+   in Emergency. *)
+let plane g =
+  let gate = function
+    | Store.Mutation ->
+        if Rp_guard.admit_mutation g then None
+        else begin
+          Rp_guard.note_shed g;
+          Some Store.Overloaded
+        end
+    | Store.Connection ->
+        if Rp_guard.accepting g then None else Some Store.Overloaded
+  in
+  let live () = ("guard_enabled", "1") :: Rp_guard.stats_kv g in
+  { (Store.plane "guard" live) with gate = Some gate }
 
 (* A detected grace-period stall means update-side progress (and thus
    reclamation) is wedged behind a stuck reader: pressure at Shed level —
@@ -74,8 +91,15 @@ let install ?watermarks ?(interval = 0.05) ?(stall_window = 1.0) store =
       if new_s = Rp_guard.Emergency then
         ignore (Store.background store (fun () -> Store.evict_to_budget store)));
   Rp_guard.register_instruments g reg;
-  Store.set_guard store (Some g);
+  Store.attach store (plane g);
   g
+
+let watch_tier g tier =
+  Rp_guard.add_source g ~name:"tier" (fun () -> Tier.fill tier);
+  (* Emergency pauses compaction and sheds demotions; cold reads keep
+     flowing. Reverts as soon as the ladder descends. *)
+  Rp_guard.on_transition g (fun _old next ->
+      Tier.set_paused tier (next = Rp_guard.Emergency))
 
 let watch_server g server =
   let cap = Server.capacity server in

@@ -1,11 +1,18 @@
 (** Wires the generic {!Rp_guard} degradation ladder into this stack.
 
     {!install} creates the guard, feeds it the store-level pressure
-    sources, registers its actuators, and attaches it to the store (so
-    {!Dispatch}/{!Binary_server} start consulting it). {!watch_server}
-    and {!watch_persist} add the sources that need those subsystems.
-    Call in startup order — install, attach persistence, start the
-    server, watch both — then {!Rp_guard.start} the sweeper. *)
+    sources, registers its actuators, and attaches its {!plane} to the
+    store (so {!Dispatch}, {!Binary_server} and {!Server}'s accept path
+    start consulting its gate). {!watch_tier}, {!watch_persist} and
+    {!watch_server} add the sources that need those subsystems. Call in
+    startup order — install, attach the tier and persistence, start the
+    server, watch each — then {!Rp_guard.start} the sweeper. *)
+
+val plane : Rp_guard.t -> Store.plane
+(** The guard as a store plane: [stats guard] shows its live ladder then
+    its [guard_*] instruments; its gate refuses {!Store.Mutation}s while
+    the ladder sheds them (counting each shed) and {!Store.Connection}s
+    in [Emergency]. {!install} attaches it. *)
 
 val install :
   ?watermarks:Rp_guard.watermarks ->
@@ -20,10 +27,16 @@ val install :
     - adaptive trace sampling — head-sample 16x more often (1-in-N/16)
       whenever the ladder leaves [Healthy];
     - Emergency actuator — an immediate {!Store.evict_to_budget} sweep;
-    - [guard_*] instruments in the store registry.
+    - [guard_*] instruments in the store registry;
+    - its {!plane}, attached to the store.
 
     The sweeper is {e not} started; call {!Rp_guard.start} once all
     sources are wired. *)
+
+val watch_tier : Rp_guard.t -> Tier.t -> unit
+(** Add the ["tier"] source — cold-tier bytes over its budget — and the
+    Emergency actuator: pause compaction and shed demotions (cold reads
+    are never shed) until the ladder descends. *)
 
 val watch_server : Rp_guard.t -> Server.t -> unit
 (** Add the ["conns"] admission source: live connections over the

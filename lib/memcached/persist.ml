@@ -298,6 +298,9 @@ let register_instruments t =
     "persist_recovery_evictions" (fun () ->
       float_of_int t.recovered.post_recovery_evictions)
 
+(* The persist plane's section: no live lines, every persist_* instrument. *)
+let section = Store.plane "persist" (fun () -> [])
+
 let attach ?snapshot_interval ?(aof = true) ?(fsync = P.Oplog.Always)
     ?(oplog_max_mb = 0) ?(archive_keep = 2) ~dir store =
   P.Fsutil.mkdir_p dir;
@@ -381,33 +384,27 @@ let attach ?snapshot_interval ?(aof = true) ?(fsync = P.Oplog.Always)
       tap = None;
     }
   in
-  (match log with
-  | Some l ->
-      Store.set_persist_hook store
-        (Some
-           (fun r ->
-             (* Graceful degradation under a failing disk: the mutation
-                was already applied and acked in memory, so swallow the
-                append failure (the record is lost — durability degrades)
-                and latch it for the guard's disk-pressure source. *)
-             match P.Oplog.append l r with
-             | () ->
-                 Rp_obs.Counter.incr t.appends;
-                 if Atomic.get t.last_append_error <> 0.0 then
-                   Atomic.set t.last_append_error 0.0;
-                 (match t.tap with
-                 | Some tap ->
-                     (* Carry the serving request's trace id across the
-                        wire so a follower's apply span joins the same
-                        distributed trace. *)
-                     tap ~gen:(P.Oplog.gen l)
-                       ~trace:(Rp_trace.current_trace_id ())
-                       r
-                 | None -> ())
-             | exception _ ->
-                 Rp_obs.Counter.incr t.append_errors;
-                 Atomic.set t.last_append_error (Unix.gettimeofday ())))
-  | None -> ());
+  let observe l r =
+    (* Graceful degradation under a failing disk: the mutation was
+       already applied and acked in memory, so swallow the append failure
+       (the record is lost — durability degrades) and latch it for the
+       guard's disk-pressure source. *)
+    match P.Oplog.append l r with
+    | () -> (
+        Rp_obs.Counter.incr t.appends;
+        if Atomic.get t.last_append_error <> 0.0 then
+          Atomic.set t.last_append_error 0.0;
+        match t.tap with
+        | Some tap ->
+            (* Carry the serving request's trace id across the wire so a
+               follower's apply span joins the same distributed trace. *)
+            tap ~gen:(P.Oplog.gen l) ~trace:(Rp_trace.current_trace_id ()) r
+        | None -> ())
+    | exception _ ->
+        Rp_obs.Counter.incr t.append_errors;
+        Atomic.set t.last_append_error (Unix.gettimeofday ())
+  in
+  Store.attach store { section with observe = Option.map observe log };
   register_instruments t;
   t.domain <- Some (Domain.spawn (fun () -> snapshot_loop t));
   t
@@ -432,7 +429,8 @@ let halt t ~graceful =
   t.stop_requested <- true;
   Mutex.unlock t.mutex;
   if not already then begin
-    Store.set_persist_hook t.store None;
+    (* The section (final counters) stays; only the observer goes. *)
+    Store.attach t.store section;
     (match t.domain with Some d -> Domain.join d | None -> ());
     t.domain <- None;
     match t.log with

@@ -6,7 +6,8 @@
       is streamed into the store, then every op-log segment from that
       snapshot's generation on is replayed (the newest segment's torn
       tail, if a crash left one, is truncated away). Only then does the
-      op-log hook go live.
+      ["persist"] {!Store.plane} attach, its mutation observer feeding
+      the op log.
     - {b Op log}: every acknowledged mutation is appended (inside the
       store's serialization lock) as a state-based record; fsync policy
       per {!Rp_persist.Oplog.fsync_policy}.
@@ -54,7 +55,8 @@ val attach :
   t
 (** Recover [dir] into the store, run the post-recovery eviction sweep,
     start the op log (unless [aof:false]; default [true]) with [fsync]
-    (default [Always]), install the mutation hook, register instruments,
+    (default [Always]), attach the ["persist"] plane (its observer
+    appends to the op log), register instruments,
     and spawn the snapshot domain. [snapshot_interval] (seconds) enables
     periodic snapshots; omitted, snapshots only happen via
     {!snapshot_now}. A positive [oplog_max_mb] (default 0 = unbounded)
@@ -122,12 +124,13 @@ val fsync_policy : t -> Rp_persist.Oplog.fsync_policy option
 
 val stop : t -> unit
 (** Graceful shutdown: stop the snapshot domain, sync and close the op
-    log, uninstall the hook. Idempotent. No final snapshot is taken —
+    log, drop the plane's observer ([stats persist] keeps the final
+    counters). Idempotent. No final snapshot is taken —
     the synced log already covers everything. *)
 
 val crash_for_testing : t -> unit
 (** Simulate the process dying mid-flight ([kill -9]) as far as this
     manager can from inside one process: stop the snapshot domain and
-    uninstall the hook {e without} syncing, flushing, or closing the op
+    drop the observer {e without} syncing, flushing, or closing the op
     log cleanly. Torture scenarios follow this with direct file-level
     damage (torn tails) before re-attaching a fresh store. *)

@@ -54,6 +54,7 @@ let effective_workers config =
   else Domain.recommended_domain_count ()
 
 let k_accept = Rp_trace.intern "server.accept"
+let k_drop = Rp_trace.intern "server.conn.drop"
 
 type t = {
   addr : address;
@@ -82,9 +83,10 @@ let admission_cap config =
     min config.max_inflight config.max_connections
   else config.max_connections
 
-(* What (if anything) to refuse this accept with. Emergency closes the
-   door entirely: established connections keep their wait-free GETs, but
-   new sockets would only deepen the overload. *)
+(* What (if anything) to refuse this accept with. The store's gate (the
+   guard's Emergency) closes the door entirely: established connections
+   keep their wait-free GETs, but new sockets would only deepen the
+   overload. *)
 let refusal t store =
   if live t >= admission_cap t.config then
     Some
@@ -92,9 +94,7 @@ let refusal t store =
          "overloaded"
        else "too many connections")
   else
-    match Store.guard store with
-    | Some g when not (Rp_guard.accepting g) -> Some "overloaded"
-    | _ -> None
+    Option.map (fun _ -> "overloaded") (Store.refusal store Store.Connection)
 
 let accept_loop t store =
   let next_id = ref 0 in
@@ -107,16 +107,13 @@ let accept_loop t store =
           match refusal t store with
           | Some msg ->
               Atomic.incr t.rejected;
-              Rp_obs.Trace.emit Rp_obs.Trace.default ~arg:(-1)
-                "server.conn.drop";
+              Rp_trace.instant ~arg:(-1) k_drop;
               reject fd msg
           | None ->
               let id = !next_id in
               incr next_id;
               Atomic.incr t.accepted;
               if t.config.tcp_nodelay then Io.set_tcp_nodelay fd;
-              Rp_obs.Trace.emit Rp_obs.Trace.default ~arg:id
-                "server.conn.accept";
               Rp_trace.instant ~arg:id k_accept;
               Evloop.submit t.evloop ~id fd
         end

@@ -65,8 +65,9 @@ val default_config : config
     16 KiB buffers, TCP_NODELAY on, one worker per recommended domain,
     1 MiB write cap, 30 s drain deadline.
 
-    When a {!Store.guard} is attached and in [Emergency], new connections
-    are refused with [SERVER_ERROR overloaded] regardless of the caps —
+    When the store's gate refuses a {!Store.Connection} (an attached
+    guard in [Emergency]), new connections are refused with
+    [SERVER_ERROR overloaded] regardless of the caps —
     established connections keep serving (GETs stay wait-free; mutations
     shed in {!handle}). *)
 

@@ -68,14 +68,37 @@ type tier_hooks = {
           never cold reads). *)
 }
 
+(* --- planes: everything beside the table plugs in as one record --- *)
+
+type admission = Mutation | Connection
+type refusal = Overloaded | Read_only
+
+type plane = {
+  name : string;
+  live : unit -> (string * string) list;
+  observe : (Rp_persist.Record.t -> unit) option;
+  gate : (admission -> refusal option) option;
+  tier : tier_hooks option;
+  promote : (unit -> (string, string) result) option;
+}
+
+let plane name live =
+  { name; live; observe = None; gate = None; tier = None; promote = None }
+
 type t = {
   state : state;
-  (* Persistence hook, installed by [Persist.attach]: called with the op
-     record of every acknowledged mutation, inside the mutated key's
-     serialization stripe, so the op log's per-key order is the store's
-     per-key order (records are state-based and replay-idempotent, so
-     cross-key interleaving is free — see [Rp_persist.Record]). *)
-  mutable persist_hook : (Rp_persist.Record.t -> unit) option;
+  (* Attached planes, in attach order. The per-call parts below are
+     composed from them at attach time, so a mutation, an admission check
+     or a sweep pays one option match and never walks this list. *)
+  mutable planes : plane list;
+  (* Mutation observer (persistence): called with the op record of every
+     acknowledged mutation, inside the mutated key's serialization stripe,
+     so the op log's per-key order is the store's per-key order (records
+     are state-based and replay-idempotent, so cross-key interleaving is
+     free — see [Rp_persist.Record]). *)
+  mutable observe : (Rp_persist.Record.t -> unit) option;
+  mutable gate : (admission -> refusal option) option;
+  mutable tier : tier_hooks option;
   (* Some when the Rp backend runs on the QSBR flavour (zero-cost read
      sections). Readers must then respect QSBR discipline: the event-loop
      workers go offline around their poll wait, and the update stripes are
@@ -84,21 +107,6 @@ type t = {
   (* Serializes QSBR store work done outside the event-loop workers; see
      [background]. *)
   background_mu : Mutex.t;
-  (* Overload guard, attached by [Guard.install]: dispatch consults it to
-     shed mutations; [guard_stats] renders its live ladder state. *)
-  mutable guard : Rp_guard.t option;
-  (* A following replica refuses client mutations (dispatch checks this);
-     the replication stream itself applies through [replicate], which
-     bypasses the flag. *)
-  mutable read_only : bool;
-  (* Cluster glue, installed by [Cluster]: the live [stats cluster]
-     section and the [cluster promote] admin action. *)
-  mutable cluster_info : (unit -> (string * string) list) option;
-  mutable promote_hook : (unit -> (string, string) result) option;
-  (* Cold-tier hooks, installed by [Tier.attach]; [tier_info] renders the
-     live [stats tier] section. *)
-  mutable tier : tier_hooks option;
-  mutable tier_info : (unit -> (string * string) list) option;
   max_bytes : int;
   slab : Slab.t;  (* chunk-level accounting; eviction compares chunk bytes *)
   clock : unit -> float;
@@ -145,6 +153,30 @@ let k_tier_demote = Rp_trace.intern "tier.demote"
 let k_tier_promote = Rp_trace.intern "tier.promote"
 
 let hash_key = Rp_hashes.Hashfn.fnv1a_string
+
+(* Compose two optional per-call parts into one: attach-time work, so the
+   call site stays a single option match. *)
+let compose join a b =
+  match (a, b) with None, x | x, None -> x | Some f, Some g -> Some (join f g)
+
+let rewire t planes =
+  t.planes <- planes;
+  let fold part join =
+    List.fold_left (fun acc p -> compose join acc (part p)) None planes
+  in
+  t.observe <- fold (fun (p : plane) -> p.observe) (fun f g r -> f r; g r);
+  t.gate <-
+    fold (fun (p : plane) -> p.gate) (fun f g k ->
+        match f k with None -> g k | refused -> refused);
+  t.tier <- List.find_map (fun (p : plane) -> p.tier) planes
+
+let detach t name = rewire t (List.filter (fun p -> p.name <> name) t.planes)
+
+let attach t (p : plane) =
+  rewire t (List.filter (fun q -> q.name <> p.name) t.planes @ [ p ])
+
+let planes t = t.planes
+let refusal t kind = match t.gate with None -> None | Some g -> g kind
 
 let create ?(backend = Rp) ?(rcu_mode = Memb) ?(max_bytes = 64 * 1024 * 1024)
     ?(initial_size = 1024) ?(auto_resize = true) ?(stripes = 8)
@@ -201,15 +233,12 @@ let create ?(backend = Rp) ?(rcu_mode = Memb) ?(max_bytes = 64 * 1024 * 1024)
   let t =
     {
       state;
-      persist_hook = None;
+      planes = [];
+      observe = None;
+      gate = None;
+      tier = None;
       qsbr;
       background_mu = Mutex.create ();
-      guard = None;
-      read_only = false;
-      cluster_info = None;
-      promote_hook = None;
-      tier = None;
-      tier_info = None;
       max_bytes;
       slab = Slab.create ();
       clock;
@@ -257,6 +286,7 @@ let create ?(backend = Rp) ?(rcu_mode = Memb) ?(max_bytes = 64 * 1024 * 1024)
     }
   in
   Rp_trace.register_instruments registry;
+  attach t (plane "trace" Rp_trace.stats_kv);
   (* Gauges read live store state; histograms and table/RCU counters come
      from the layers below via their observe hooks. *)
   let gauge name help f = Rp_obs.Registry.gauge registry ~help name f in
@@ -303,7 +333,9 @@ let create ?(backend = Rp) ?(rcu_mode = Memb) ?(max_bytes = 64 * 1024 * 1024)
         | Rp_state rs -> fun () -> Rp_ht.stripe_heat rs.rp
         | Lock_state _ -> fun () -> [||]
       in
-      Rp_heat.register h registry ~stripe_heat);
+      Rp_heat.register h registry ~stripe_heat;
+      let live () = ("heat_enabled", "1") :: Rp_heat.stats_kv h in
+      attach t (plane "heat" live));
   t
 
 let backend t = match t.state with Lock_state _ -> Lock | Rp_state _ -> Rp
@@ -315,19 +347,6 @@ let write_stripes t =
   | Rp_state rs -> Array.length rs.update_stripes
 let registry t = t.registry
 let max_bytes t = t.max_bytes
-let set_guard t g = t.guard <- g
-let guard t = t.guard
-let set_read_only t b = t.read_only <- b
-let read_only t = t.read_only
-let set_cluster_info t f = t.cluster_info <- f
-let set_promote_hook t f = t.promote_hook <- f
-let set_tier t h = t.tier <- h
-let set_tier_info t f = t.tier_info <- f
-
-let promote t =
-  match t.promote_hook with
-  | None -> Error "not a replica"
-  | Some f -> f ()
 
 (* Take the calling domain's QSBR reader offline (no-op for memb / Lock):
    event-loop workers call this before blocking in poll so grace periods
@@ -380,18 +399,17 @@ let value_of_item ?(with_cas = false) key (item : Item.t) : Protocol.value =
     vcas = (if with_cas then Some item.cas else None);
   }
 
-(* --- persistence hook --- *)
+(* --- mutation observer --- *)
 
-let set_persist_hook t hook = t.persist_hook <- hook
 let now t = t.clock ()
 
 (* Callers invoke these while holding the backend's serialization lock
    for the mutated key (the Lock backend's table lock / the Rp backend's
    key stripe), which is what keeps the log a faithful per-key history. *)
-let record t r = match t.persist_hook with None -> () | Some h -> h r
+let record t r = match t.observe with None -> () | Some h -> h r
 
 let record_set t ~op key (item : Item.t) =
-  match t.persist_hook with
+  match t.observe with
   | None -> ()
   | Some h ->
       (* State-based record: the resulting item, not the command's
@@ -1336,61 +1354,46 @@ let iter_items t ~f =
 (* Apply a recovered or replicated record: same primitives as the live
    commands, but no command counters (neither a warm restart nor the
    replication stream is client traffic). With [log], the record is
-   re-logged through the persist hook inside the serialization lock —
+   re-logged through the mutation observer inside the serialization lock —
    that is how a follower's own oplog stays a faithful linearization of
    what it applied, so it can itself recover, snapshot, and (after
    promotion) lead. Recovery replay uses [log:false]: it must not re-log
    itself. Already-expired items are dropped rather than stored —
    deterministic, since records carry absolute expiry times. *)
 let apply_record ?(log = false) t r =
-  let finish () = if log then record t r in
+  (* Apply under the key's serialization lock, logging inside it. *)
+  let locked key ~lock ~rp =
+    match t.state with
+    | Lock_state ls ->
+        Rp_baseline.Lock_ht.with_lock ls.table (fun () ->
+            lock ls;
+            if log then record t r)
+    | Rp_state rs ->
+        with_stripe t rs ~hash:(hash_key key) (fun () ->
+            rp rs;
+            if log then record t r)
+  in
+  let delete key =
+    locked key
+      ~lock:(fun ls -> ignore (lock_delete t ls key))
+      ~rp:(fun rs -> ignore (rp_delete t rs key))
+  in
   match r with
   | Rp_persist.Record.Set { key; flags; exptime; cas; data; _ } ->
       Item.note_restored_cas cas;
       let now = t.clock () in
       let item = Item.make ~cas ~flags ~exptime ~data ~now () in
-      if Item.is_expired item ~now then
-        ignore
-          (match t.state with
-          | Lock_state ls ->
-              Rp_baseline.Lock_ht.with_lock ls.table (fun () ->
-                  let d = lock_delete t ls key in
-                  finish ();
-                  d)
-          | Rp_state rs ->
-              with_stripe t rs ~hash:(hash_key key) (fun () ->
-                  let d = rp_delete t rs key in
-                  finish ();
-                  d))
-      else begin
+      if Item.is_expired item ~now then delete key
+      else
         (* No inline eviction: replay may overshoot the budget; the
            post-recovery sweep in {!Persist.attach} settles the heap once
            the full recovered state is known. (On the Rp backend
            [rp_store] never sweeps — only live commands call [rp_sweep]
            after releasing their stripe.) *)
-        match t.state with
-        | Lock_state ls ->
-            Rp_baseline.Lock_ht.with_lock ls.table (fun () ->
-                lock_store ~evict:false t ls key item;
-                finish ())
-        | Rp_state rs ->
-            with_stripe t rs ~hash:(hash_key key) (fun () ->
-                rp_store t rs key item;
-                finish ())
-      end
-  | Rp_persist.Record.Delete key ->
-      ignore
-        (match t.state with
-        | Lock_state ls ->
-            Rp_baseline.Lock_ht.with_lock ls.table (fun () ->
-                let d = lock_delete t ls key in
-                finish ();
-                d)
-        | Rp_state rs ->
-            with_stripe t rs ~hash:(hash_key key) (fun () ->
-                let d = rp_delete t rs key in
-                finish ();
-                d))
+        locked key
+          ~lock:(fun ls -> lock_store ~evict:false t ls key item)
+          ~rp:(fun rs -> rp_store t rs key item)
+  | Rp_persist.Record.Delete key -> delete key
   | Rp_persist.Record.Flush_all -> flush_all_with t ~log
 
 let restore t r = apply_record ~log:false t r
@@ -1469,100 +1472,58 @@ let evict_to_budget t =
 let has_prefix p name =
   String.length name >= String.length p && String.sub name 0 (String.length p) = p
 
-(* "stats rp" filter: relativistic-stack instruments only. *)
+(* "stats rp": the relativistic-stack instruments. *)
 let rp_instrument name = has_prefix "rp_ht_" name || has_prefix "rcu_" name
 
-(* "stats persist" filter: everything [Persist.attach] registers. *)
-let persist_instrument name = has_prefix "persist_" name
+(* The sections planes answer, named for their instrument families. *)
+let plane_sections = [ "persist"; "trace"; "guard"; "tier"; "cluster"; "heat" ]
 
-(* "stats trace" filter: the flight recorder's registry instruments. *)
-let trace_instrument name = has_prefix "trace_" name
-
-(* "stats guard" filter: everything [Guard.install] registers. *)
-let guard_instrument name = has_prefix "guard_" name
-
-(* "stats tier" filter: the cold-tier instruments. *)
-let tier_instrument name = has_prefix "tier_" name
-
-(* "stats heat" filter: the workload-insight instruments. *)
-let heat_instrument name = has_prefix "heat_" name
-
-let stats t =
+(* The default section: every instrument outside the section families.
+   [tier_demotions_total] stays here too, right next to [evictions]:
+   "moved to disk" vs "lost" is an operator-facing distinction. *)
+let default_section t =
   ("backend", match backend t with Lock -> "lock" | Rp -> "rp")
   :: Rp_obs.Registry.to_stats
        ~filter:(fun n ->
-         (* tier_demotions_total stays in the default section, right next
-            to [evictions]: "moved to disk" vs "lost" is an operator-facing
-            distinction, not tier-plane internals. *)
          n = "tier_demotions_total"
          || not
-              (rp_instrument n || persist_instrument n || trace_instrument n
-             || guard_instrument n || tier_instrument n || heat_instrument n))
+              (rp_instrument n
+              || List.exists (fun s -> has_prefix (s ^ "_") n) plane_sections))
        t.registry
-
-let rp_stats t = Rp_obs.Registry.to_stats ~filter:rp_instrument t.registry
-
-let persist_stats t =
-  Rp_obs.Registry.to_stats ~filter:persist_instrument t.registry
-
-(* "stats trace": live flight-recorder state (sample rate, span and drop
-   counts, retained slow requests). One recorder serves the process, so
-   the section reads [Rp_trace] directly rather than the registry. *)
-let trace_stats (_ : t) = Rp_trace.stats_kv ()
-
-(* "stats cluster": the cluster glue's live view (role, watermarks,
-   follower list). A store with no cluster attachment reports only that
-   the plane is off. *)
-let cluster_stats t =
-  match t.cluster_info with
-  | None -> [ ("cluster_enabled", "0") ]
-  | Some f -> ("cluster_enabled", "1") :: f ()
-
-(* "stats tier": the glue's live view (mode, dir) first, then every
-   tier_* instrument (demote/promote counters, read/demote latency
-   histograms, byte gauges the glue registered). *)
-let tier_stats t =
-  match t.tier_info with
-  | None -> [ ("tier_enabled", "0") ]
-  | Some f ->
-      (("tier_enabled", "1") :: f ())
-      @ Rp_obs.Registry.to_stats ~filter:tier_instrument t.registry
-
-(* "stats guard": the live ladder first (state name, per-source
-   pressures), then the registered guard_* instruments (shed counter,
-   slow-client kills from the evloop, ...). *)
-let guard_stats t =
-  match t.guard with
-  | None -> [ ("guard_enabled", "0") ]
-  | Some g ->
-      let live = ("guard_enabled", "1") :: Rp_guard.stats_kv g in
-      let seen = List.map fst live in
-      live
-      @ Rp_obs.Registry.to_stats
-          ~filter:(fun n -> guard_instrument n && not (List.mem n seen))
-          t.registry
 
 let heat t = t.heat
 
-(* "stats heat": the registered heat_* instruments (tracked totals,
-   top-k labeled gauges, size histograms, stripe heatmap) plus the
-   bounded per-rank detail lines ([Rp_heat.stats_kv]). *)
-let heat_stats t =
-  match t.heat with
-  | None -> [ ("heat_enabled", "0") ]
-  | Some h ->
-      (("heat_enabled", "1") :: Rp_heat.stats_kv h)
-      @ Rp_obs.Registry.to_stats ~filter:heat_instrument t.registry
+(* One rule for every plane's section: its live lines first, then the
+   [<name>_*] instruments they did not already show. With no plane of
+   that name attached, a section reports that the plane is off —
+   persistence excepted, whose instruments carry [persist_enabled]. *)
+let section t name =
+  match name with
+  | "" -> Some (default_section t)
+  | "rp" -> Some (Rp_obs.Registry.to_stats ~filter:rp_instrument t.registry)
+  | "reset" ->
+      (* Clear the resettable workload-insight state — heat sketches,
+         exemplar cells, and every registry histogram — while leaving
+         monotonic counters (cmd_get, evictions, ...) untouched, as real
+         memcached does. *)
+      (match t.heat with None -> () | Some h -> Rp_heat.reset h);
+      Rp_obs.Registry.reset_histograms t.registry;
+      Some []
+  | name -> (
+      match List.find_opt (fun p -> p.name = name) t.planes with
+      | Some p ->
+          let live = p.live () in
+          let family =
+            Rp_obs.Registry.to_stats ~filter:(has_prefix (name ^ "_")) t.registry
+          in
+          let unshown (k, _) = not (List.mem_assoc k live) in
+          Some (live @ List.filter unshown family)
+      | None when name = "persist" -> Some []
+      | None when List.mem name plane_sections ->
+          Some [ (name ^ "_enabled", "0") ]
+      | None -> None)
 
 let heat_json ?n t =
   match t.heat with
   | None -> "{\"heat_enabled\":false}"
   | Some h -> Rp_heat.to_json ?n h
-
-(* "stats reset": clear the resettable workload-insight state — heat
-   sketches, exemplar cells, and every registry histogram — while
-   leaving monotonic counters (cmd_get, evictions, ...) untouched, as
-   real memcached does. *)
-let reset_stats t =
-  (match t.heat with None -> () | Some h -> Rp_heat.reset h);
-  Rp_obs.Registry.reset_histograms t.registry

@@ -6,9 +6,10 @@
       operation, GETs included (lookup + exact-LRU bump + expiry check all
       inside the lock);
     - {!Rp}: the paper's port — GET is a wait-free relativistic lookup that
-      copies the value inside the read-side critical section and bumps an
-      atomic access timestamp instead of LRU list pointers; expiry falls
-      back to a locked slow path; updates serialize {e per key} on a
+      copies the value inside the read-side critical section and, instead
+      of relinking LRU list pointers, sets the item's CLOCK referenced bit
+      (read first, so a hot item is written once per sweep lap); expiry
+      falls back to a locked slow path; updates serialize {e per key} on a
       striped lock (stripe = key hash, aligned with the backing table's own
       writer stripes) so independent SETs/DELETEs/CAS proceed concurrently
       from different workers, and use safe relativistic memory reclamation
@@ -123,20 +124,9 @@ val flush_all : t -> unit
 
 (** {1 Persistence plumbing}
 
-    The hooks the {!Persist} manager builds on. The store itself never
-    touches a disk: it reports every acknowledged mutation as a
-    state-based {!Rp_persist.Record.t} (called inside the mutated key's
-    serialization stripe, so the log's per-key order is the store's —
-    records are replay-idempotent, making cross-key interleaving safe)
-    and can walk and restore itself on request. *)
-
-val set_persist_hook : t -> (Rp_persist.Record.t -> unit) option -> unit
-(** Install (or clear) the mutation hook. The hook runs with the mutated
-    key's update stripe held — concurrent mutations on other stripes may
-    invoke it concurrently, so it must be thread-safe — and must be quick
-    aside from its own I/O; an exception it raises fails the triggering
-    command after the in-memory effect — the client then sees an error,
-    i.e. an unknown outcome. *)
+    What the {!Persist} manager builds on, besides its {!plane}'s mutation
+    observer. The store itself never touches a disk: it can walk and
+    restore itself on request. *)
 
 val iter_items : t -> f:(string -> Item.t -> unit) -> int
 (** Walk every live binding. On the {!Rp} backend this is
@@ -148,54 +138,24 @@ val iter_items : t -> f:(string -> Item.t -> unit) -> int
     under its global lock (returns 0). *)
 
 val restore : t -> Rp_persist.Record.t -> unit
-(** Apply a recovered record: no hook re-entry, no command counters;
+(** Apply a recovered record: no observer re-entry, no command counters;
     expired records delete rather than store. CAS values are preserved
     and {!Item.note_restored_cas} keeps future allocations unique. *)
 
 val replicate : t -> Rp_persist.Record.t -> unit
 (** Apply a record from the replication stream: {!restore} semantics,
-    {e plus} the record is re-logged through the persist hook inside the
+    {e plus} the record is re-logged through the mutation observer inside the
     serialization lock — a following replica's own oplog thereby stays a
     faithful linearization of what it applied, so it can recover,
-    snapshot, and lead after promotion. Bypasses {!read_only}. *)
+    snapshot, and lead after promotion. Bypasses every {!plane} gate. *)
 
 val now : t -> float
 (** The store's (injectable) clock. *)
 
-(** {1 Overload guard plumbing}
-
-    The {!Guard} wiring module attaches an {!Rp_guard.t}; {!Dispatch} and
-    {!Binary_server} consult it to shed mutations, and the guard's
-    Emergency actuators call back into {!evict_to_budget}. *)
-
-val set_guard : t -> Rp_guard.t option -> unit
-val guard : t -> Rp_guard.t option
-
-(** {1 Cluster plumbing}
-
-    The {!Cluster} glue flips these; {!Dispatch} and {!Binary_server}
-    consult them. *)
-
-val set_read_only : t -> bool -> unit
-(** A following replica refuses client mutations; the replication
-    stream itself applies through {!replicate}, which is exempt. *)
-
-val read_only : t -> bool
-
-val set_cluster_info : t -> (unit -> (string * string) list) option -> unit
-(** Provider for the [stats cluster] section (role, watermarks,
-    follower list). *)
-
-val set_promote_hook : t -> (unit -> (string, string) result) option -> unit
-(** Action behind the [cluster promote] admin command. *)
-
-val promote : t -> (string, string) result
-(** Run the promote hook ([Error "not a replica"] when none). *)
-
 (** {1 Cold-tier plumbing}
 
-    The {!Tier} glue installs these hooks over an {!Rp_tier.Cold_store}.
-    With hooks installed, the CLOCK eviction sweep {e demotes} victims —
+    The {!Tier} plane supplies these hooks over an {!Rp_tier.Cold_store}.
+    With hooks attached, the CLOCK eviction sweep {e demotes} victims —
     appends the value to a segment file and swaps the item for a compact
     {!Item.Cold} marker, under the victim's update stripe — instead of
     dropping them; a GET that finds a marker reads the segment with no
@@ -222,10 +182,62 @@ type tier_hooks = {
           shed). *)
 }
 
-val set_tier : t -> tier_hooks option -> unit
+(** {1 Planes}
 
-val set_tier_info : t -> (unit -> (string * string) list) option -> unit
-(** Provider for the live part of the [stats tier] section. *)
+    Everything beside the table — persistence, the cold tier, the
+    overload guard, the cluster, heat, the flight recorder — plugs in the
+    same way: as a {!plane} {!attach}ed under its name. The name selects
+    its [stats <name>] section and, with it, the [<name>_*] instrument
+    family in {!registry}; the optional parts are composed at attach time,
+    so each costs the hot path at most one option match. *)
+
+type admission =
+  | Mutation  (** a client storage, delete, counter, touch or flush *)
+  | Connection  (** a new client connection, at accept *)
+
+type refusal =
+  | Overloaded  (** the overload guard is shedding *)
+  | Read_only  (** a following replica refuses client mutations *)
+
+type plane = {
+  name : string;
+  live : unit -> (string * string) list;
+      (** The section's live lines, shown before its instruments. *)
+  observe : (Rp_persist.Record.t -> unit) option;
+      (** Mutation observer: called with the state-based record of every
+          acknowledged mutation, with the mutated key's update stripe held
+          (so the observed per-key order is the store's). Mutations on
+          other stripes call it concurrently, so it must be thread-safe
+          and quick aside from its own I/O; an exception it raises fails
+          the triggering command after the in-memory effect — the client
+          then sees an error, i.e. an unknown outcome. *)
+  gate : (admission -> refusal option) option;
+      (** Admission gate, asked only about sheddable work — never on the
+          GET path. Gates of several planes are asked in attach order;
+          the first refusal wins. *)
+  tier : tier_hooks option;  (** The cold-tier data path (first one wins). *)
+  promote : (unit -> (string, string) result) option;
+      (** The [cluster promote] admin action. *)
+}
+
+val plane : string -> (unit -> (string * string) list) -> plane
+(** [plane name live]: a plane with a section only, every optional part
+    [None] — the base to extend with [{ (plane n live) with gate = ... }]. *)
+
+val attach : t -> plane -> unit
+(** Attach a plane, replacing any attached plane of the same name. *)
+
+val detach : t -> string -> unit
+(** Detach the plane of that name, if any. *)
+
+val planes : t -> plane list
+(** The attached planes, in attach order. *)
+
+val refusal : t -> admission -> refusal option
+(** Ask the composed gate; [None] admits (and is all a store with no gate
+    answers). Front ends call it for sheddable requests only. *)
+
+(** {1 Cold tier and budget} *)
 
 val tier_location : t -> string -> (int * int * int) option
 (** The key's cold-marker location, if it is live and demoted (wait-free;
@@ -277,56 +289,29 @@ val registry : t -> Rp_obs.Registry.t
 (** The store's instrument registry (for Prometheus exposition or report
     files). *)
 
-val stats : t -> (string * string) list
-(** memcached [stats] lines: [backend] plus every store-level instrument
-    (the [rp_ht_*]/[rcu_*] internals are left to {!rp_stats}). *)
-
-val rp_stats : t -> (string * string) list
-(** [stats rp] lines: the relativistic-stack instruments only ([rp_ht_*]
-    lookup/insert/resize counters and histogram, [rcu_*] grace-period
-    counters and latency histogram). Empty for the {!Lock} backend. *)
-
-val persist_stats : t -> (string * string) list
-(** [stats persist] lines: every [persist_*] instrument the {!Persist}
-    manager registered. Empty when persistence is not attached. *)
-
-val trace_stats : t -> (string * string) list
-(** [stats trace] lines: the flight recorder's live state — sample rate,
-    spans recorded/dropped, sampled-request percentage, retained slow
-    requests ({!Rp_trace.stats_kv}; process-wide). *)
-
-val guard_stats : t -> (string * string) list
-(** [stats guard] lines: the overload guard's live ladder state plus
-    every [guard_*] instrument. A single disabled marker when no guard
-    is attached. *)
-
-val tier_stats : t -> (string * string) list
-(** [stats tier] lines: the tier glue's live view (mode, dir) plus every
-    [tier_*] instrument. A single disabled marker when no tier is
-    attached. *)
-
-val cluster_stats : t -> (string * string) list
-(** [stats cluster] lines: the cluster glue's live view (role, sent and
-    acked watermarks, follower list / leader link). A single disabled
-    marker when the cluster plane is off. *)
+val section : t -> string -> (string * string) list option
+(** [stats <name>] lines, [None] for an unknown name. [""] is the default
+    section: [backend] plus every instrument outside the section
+    families (and [tier_demotions_total], kept next to [evictions]).
+    ["rp"] is the relativistic stack's [rp_ht_*] / [rcu_*] instruments
+    (empty on {!Lock}). ["reset"] clears the heat sketches, exemplar cells
+    and every registry histogram — monotonic counters ([cmd_get],
+    [evictions], ...) survive, as in stock memcached — and answers no
+    lines. Any other name renders the attached plane of that name by one
+    rule: its live lines, then its [<name>_*] instruments not already
+    shown. With none attached, ["guard"], ["tier"], ["cluster"], ["heat"]
+    and ["trace"] answer [<name>_enabled 0] and ["persist"] answers no
+    lines. The store attaches ["trace"] (the process-wide flight
+    recorder) at creation, and ["heat"] when created with
+    [heat_topk > 0]. *)
 
 val heat : t -> Rp_heat.t option
 (** The workload-insight plane, when the store was created with
     [heat_topk > 0]. *)
 
-val heat_stats : t -> (string * string) list
-(** [stats heat] lines: per-rank heavy-hitter detail plus every [heat_*]
-    instrument (top-k labeled gauges, size histograms, stripe heatmap).
-    A single disabled marker when the plane is off. *)
-
 val heat_json : ?n:int -> t -> string
 (** The [/heat] JSON document (top [n] entries per sketch, default all
     [k]); [{"heat_enabled": false}] when the plane is off. *)
-
-val reset_stats : t -> unit
-(** [stats reset]: clear the heat sketches, exemplar cells, and every
-    registry histogram. Monotonic counters ([cmd_get], [evictions], ...)
-    survive — matching stock memcached's reset semantics. *)
 
 val items : t -> int
 

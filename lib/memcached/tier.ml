@@ -1,6 +1,6 @@
-(* Glue between Rp_tier.Cold_store and the store's tier hooks: demote /
-   read / mark-dead plumbing, the background copying compactor, the
-   guard's cold-tier pressure source, and the tier_* instruments. *)
+(* Glue between Rp_tier.Cold_store and the store: the tier plane's
+   demote / read / mark-dead hooks, the background copying compactor, and
+   the tier_* instruments. *)
 
 let k_compact = Rp_trace.intern "tier.compact"
 
@@ -20,9 +20,13 @@ type t = {
   mutable domain : unit Domain.t option;
 }
 
-let cold_store t = t.cold
 let compactions t = Atomic.get t.compactions
 let paused t = Atomic.get t.paused
+let set_paused t p = Atomic.set t.paused p
+
+let fill t =
+  let bytes = Rp_tier.Cold_store.total_bytes t.cold in
+  float_of_int bytes /. float_of_int t.max_bytes
 
 (* Copy one segment's still-live records to the head. Each record is
    re-checked against the table (tier_location) before the copy and
@@ -104,6 +108,7 @@ let compactor_loop t =
 
 let stats_kv t () =
   [
+    ("tier_enabled", "1");
     ("tier_mode", "demote");
     ("tier_dir", Rp_tier.Cold_store.dir t.cold);
     ("tier_max_bytes", string_of_int t.max_bytes);
@@ -172,20 +177,12 @@ let attach ?(min_dead_ratio = 0.5) ?(compact_interval = 0.05) ?segment_bytes
         Rp_tier.Cold_store.mark_dead cold { Rp_tier.segment; offset; len }
       in
       let th_admit () = not (Atomic.get t.paused) in
-      Store.set_tier store
-        (Some { Store.th_demote; th_read; th_mark_dead; th_admit });
-      Store.set_tier_info store (Some (stats_kv t));
+      Store.attach store
+        {
+          (Store.plane "tier" (stats_kv t)) with
+          tier = Some { Store.th_demote; th_read; th_mark_dead; th_admit };
+        };
       register_instruments t reg;
-      (match Store.guard store with
-      | None -> ()
-      | Some guard ->
-          Rp_guard.add_source guard ~name:"tier" (fun () ->
-              float_of_int (Rp_tier.Cold_store.total_bytes cold)
-              /. float_of_int max_bytes);
-          (* Emergency pauses compaction and sheds demotions; cold reads
-             keep flowing. Reverts as soon as the ladder descends. *)
-          Rp_guard.on_transition guard (fun _old next ->
-              Atomic.set t.paused (next = Rp_guard.Emergency)));
       t.domain <- Some (Domain.spawn (fun () -> compactor_loop t));
       Ok t
 
@@ -208,6 +205,5 @@ let stop t =
       Domain.join d;
       t.domain <- None
   | None -> ());
-  Store.set_tier t.store None;
-  Store.set_tier_info t.store None;
+  Store.detach t.store "tier";
   Rp_tier.Cold_store.close t.cold

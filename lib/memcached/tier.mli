@@ -1,7 +1,8 @@
 (** Wiring between {!Rp_tier.Cold_store} and this serving stack: the
-    demote/read/mark-dead hooks the {!Store} eviction sweep and GET path
-    call through, the background copying compactor, the guard's cold-tier
-    pressure source, and the [tier_*] instruments.
+    ["tier"] {!Store.plane} whose demote/read/mark-dead hooks the store's
+    eviction sweep and GET path call through, the background copying
+    compactor, and the [tier_*] instruments. The guard couples to it
+    through {!Guard.watch_tier}.
 
     Startup order mirrors the server binary: create the store, install
     the guard, {!attach} the tier, attach {!Persist} (whose recovery
@@ -20,10 +21,7 @@ val attach :
   Store.t ->
   (t, string) result
 (** Open the segment store under [dir] with a [max_mb] byte budget and
-    install the tier hooks. If a guard is already attached to the store,
-    registers the ["tier"] pressure source (tier bytes / budget) and the
-    Emergency actuator (pause compaction, shed demotions — cold reads
-    are never shed; both revert on descent). Spawns the compaction
+    attach the tier plane to the store. Spawns the compaction
     domain: every [compact_interval] (default 0.05 s) it looks for a
     sealed segment at least [min_dead_ratio] (default 0.5) dead and
     copies its live records to the head. [segment_bytes] caps one
@@ -43,10 +41,17 @@ val compact_once : t -> bool
     and the torture harness. *)
 
 val compactions : t -> int
-val cold_store : t -> Rp_tier.Cold_store.t
+
+val fill : t -> float
+(** Cold-tier bytes on disk over the budget. *)
+
 val paused : t -> bool
 
+val set_paused : t -> bool -> unit
+(** Pause compaction and shed demotions (cold reads are never shed);
+    {!Store.tier_active} reads false while paused. *)
+
 val stop : t -> unit
-(** Join the compaction domain, uninstall the store hooks, close the
+(** Join the compaction domain, detach the tier plane, close the
     segment store. Cold markers left in the table become unreadable —
     shutdown-only. *)

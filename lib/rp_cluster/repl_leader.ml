@@ -82,7 +82,7 @@ let peer_name fd =
   | exception Unix.Unix_error _ -> "?"
 
 (* ------------------------------------------------------------------ *)
-(* Publish (called from the persist hook, inside store serialization) *)
+(* Publish (called from the persist tap, inside store serialization) *)
 
 let publish t ~gen ~trace payload =
   let entry = { e_gen = gen; e_trace = trace; e_payload = payload } in

@@ -11,6 +11,7 @@ type site = {
   mutable hits : int;
   mutable fires : int;
   mutable active : bool;
+  kind : int;  (* interned ["fault.<site>"] trace name *)
 }
 
 (* Fast path: [point] is compiled into hot code, so when nothing is armed it
@@ -56,6 +57,7 @@ let arm ?seed name ~trigger ~action =
               hits = 0;
               fires = 0;
               active = true;
+              kind = Rp_trace.intern ("fault." ^ name);
             };
           Atomic.incr armed_count)
 
@@ -117,7 +119,7 @@ let evaluate name =
           in
           if fire then begin
             site.fires <- site.fires + 1;
-            Some site.action
+            Some (site.kind, site.action)
           end
           else None)
 
@@ -127,17 +129,14 @@ let perform name = function
   | Raise -> raise (Injected name)
   | Truncate_io _ -> ()
 
-(* Fires are rare, armed-only events: worth a trace-ring entry each so a
-   torture run's timeline shows exactly where faults landed. *)
-let trace_fire name =
-  Rp_obs.Trace.emit Rp_obs.Trace.default ("fault." ^ name)
-
+(* Fires are rare, armed-only events: worth a control-tier instant each so
+   a torture run's timeline shows exactly where faults landed. *)
 let point name =
   if Atomic.get armed_count > 0 then
     match evaluate name with
     | None -> ()
-    | Some action ->
-        trace_fire name;
+    | Some (kind, action) ->
+        Rp_trace.instant kind;
         perform name action
 
 let io_cap name len =
@@ -145,10 +144,10 @@ let io_cap name len =
   else
     match evaluate name with
     | None -> len
-    | Some (Truncate_io cap) ->
-        trace_fire name;
+    | Some (kind, Truncate_io cap) ->
+        Rp_trace.instant kind;
         max 1 (min cap len)
-    | Some action ->
-        trace_fire name;
+    | Some (kind, action) ->
+        Rp_trace.instant kind;
         perform name action;
         len

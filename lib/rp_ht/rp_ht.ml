@@ -334,8 +334,7 @@ let ensure_publish_synced t ps =
 
 let note_recovery t ~new_size =
   Atomic.incr t.recoveries;
-  Rp_trace.instant ~arg:new_size k_recovery;
-  Rp_obs.Trace.emit Rp_obs.Trace.default ~arg:new_size "rp_ht.recovery"
+  Rp_trace.instant ~arg:new_size k_recovery
 
 (* Splice one chain to precision: one grace period between consecutive
    splices (readers that crossed a splice point before it moved must
@@ -435,9 +434,7 @@ let complete_splits_locked t =
           t.flavour.Flavour.synchronize ();
           Rp_trace.span_end ~arg:new_size k_unzip pass_span;
           Atomic.incr t.unzip_passes;
-          Array.iter (fun c -> c.cell_busy <- false) ps.ps_cells;
-          Rp_obs.Trace.emit Rp_obs.Trace.default ~arg:new_size
-            "rp_ht.unzip_pass"
+          Array.iter (fun c -> c.cell_busy <- false) ps.ps_cells
         end
       done
 
@@ -482,7 +479,6 @@ let shrink_locked t =
      reclaimable (the GC does the actual freeing). *)
   t.flavour.Flavour.synchronize ();
   Atomic.incr t.shrinks;
-  Rp_obs.Trace.emit Rp_obs.Trace.default ~arg:new_size "rp_ht.shrink";
   Rp_trace.span_end ~arg:new_size k_shrink shrink_span;
   Rp_obs.Histogram.observe_span t.resize_hist ~start:started
     ~stop:(Unix.gettimeofday ())
@@ -535,7 +531,6 @@ let expand_locked t =
            ps_sync_done = Atomic.make false;
          });
   Atomic.incr t.expands;
-  Rp_obs.Trace.emit Rp_obs.Trace.default ~arg:new_size "rp_ht.expand";
   Rp_trace.span_end ~arg:new_size k_expand expand_span;
   Rp_obs.Histogram.observe_span t.resize_hist ~start:started
     ~stop:(Unix.gettimeofday ())

@@ -5,44 +5,7 @@
 open Memcached
 module Ring = Rp_cluster.Ring
 module Wire = Rp_cluster.Repl_wire
-
-(* --- scratch directories --- *)
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
-let fresh_dir =
-  let ctr = ref 0 in
-  fun () ->
-    incr ctr;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "rp-cluster-test-%d-%d" (Unix.getpid ()) !ctr)
-    in
-    rm_rf dir;
-    Unix.mkdir dir 0o755;
-    dir
-
-let with_dir f =
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
-let eventually ?(timeout = 10.) ?(label = "condition") f =
-  let deadline = Unix.gettimeofday () +. timeout in
-  let rec wait () =
-    if f () then ()
-    else if Unix.gettimeofday () > deadline then
-      Alcotest.failf "timed out waiting for %s" label
-    else begin
-      Thread.delay 0.005;
-      wait ()
-    end
-  in
-  wait ()
+open Testutil
 
 (* --- ring --- *)
 
@@ -230,7 +193,7 @@ let test_replication_e2e () =
       ()
   in
   Alcotest.(check bool) "follower is read-only" true
-    (Store.read_only follower_store);
+    (Store.refusal follower_store Store.Mutation = Some Store.Read_only);
   eventually ~label:"catch-up" (fun () -> Cluster.applied follower >= 100);
   (* Live writes after attach, one of them inside a traced request so
      the trace id rides the stream. *)
@@ -285,7 +248,7 @@ let test_replication_e2e () =
        ~data:"mine"
     = Store.Stored);
   Alcotest.(check string) "role" "promoted"
-    (List.assoc "cluster_role" (Store.cluster_stats follower_store));
+    (List.assoc "cluster_role" (Option.get (Store.section follower_store "cluster")));
   (* The follower re-logged the stream: its own oplog alone rebuilds the
      replicated state (what makes a promoted replica durable). *)
   Persist.stop follower_persist;

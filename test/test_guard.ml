@@ -5,29 +5,7 @@
    post-recovery eviction sweep, and connection admission control. *)
 
 open Memcached
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
-let fresh_dir =
-  let ctr = ref 0 in
-  fun () ->
-    incr ctr;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "rp-guard-test-%d-%d" (Unix.getpid ()) !ctr)
-    in
-    rm_rf dir;
-    Unix.mkdir dir 0o755;
-    dir
-
-let with_dir f =
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+open Testutil
 
 let state = Alcotest.testable (Fmt.of_to_string Rp_guard.state_name) ( = )
 
@@ -196,7 +174,7 @@ let shedding_store () =
   let g = Rp_guard.create ~interval:10.0 () in
   Rp_guard.add_source g ~name:"test" (fun () -> 0.9);
   Rp_guard.sweep g;
-  Store.set_guard store (Some g);
+  Store.attach store (Guard.plane g);
   (store, g)
 
 let storage key data : Protocol.storage =
@@ -265,7 +243,7 @@ let test_binary_shed () =
 let test_guard_stats_disabled () =
   let store = Store.create ~backend:Store.Rp () in
   Alcotest.(check (option string)) "disabled" (Some "0")
-    (List.assoc_opt "guard_enabled" (Store.guard_stats store))
+    (List.assoc_opt "guard_enabled" (Option.get (Store.section store "guard")))
 
 (* --- post-recovery eviction sweep --- *)
 

@@ -113,11 +113,6 @@ let test_write_csv_roundtrip () =
   Alcotest.(check string) "header" "n,t" header;
   Alcotest.(check string) "row" "1,9.000000" row
 
-let contains_substring haystack needle =
-  let hl = String.length haystack and nl = String.length needle in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  nl = 0 || go 0
-
 let with_captured_stdout f =
   let path = Filename.temp_file "rp_capture" ".txt" in
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
@@ -164,7 +159,7 @@ let test_print_series_table () =
         Rp_harness.Report.print_series_table ~unit_label:"Mops/s"
           ~x_label:"readers" [ s ])
   in
-  Alcotest.(check bool) "mentions unit" true (contains_substring out "Mops/s")
+  Alcotest.(check bool) "mentions unit" true (Testutil.contains out "Mops/s")
 
 let test_ascii_chart_renders () =
   let s = Rp_harness.Series.make ~label:"rp" ~points:[ (1, 1.0); (8, 8.0) ] in
@@ -172,15 +167,15 @@ let test_ascii_chart_renders () =
     with_captured_stdout (fun () ->
         Rp_harness.Report.print_ascii_chart ~title:"test chart" [ s ])
   in
-  Alcotest.(check bool) "has title" true (contains_substring out "test chart");
-  Alcotest.(check bool) "has legend" true (contains_substring out "* = rp")
+  Alcotest.(check bool) "has title" true (Testutil.contains out "test chart");
+  Alcotest.(check bool) "has legend" true (Testutil.contains out "* = rp")
 
 let test_ascii_chart_empty () =
   let out =
     with_captured_stdout (fun () ->
         Rp_harness.Report.print_ascii_chart ~title:"empty" [])
   in
-  Alcotest.(check bool) "handles no data" true (contains_substring out "(no data)")
+  Alcotest.(check bool) "handles no data" true (Testutil.contains out "(no data)")
 
 (* --- trend gate --- *)
 

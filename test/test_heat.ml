@@ -166,20 +166,15 @@ let test_store_exposition () =
        kvs);
   (* The default section must not leak heat internals, and vice versa
      the plane must surface in Prometheus and JSON. *)
-  let default = Memcached.Store.stats store in
+  let default = Option.get (Memcached.Store.section store "") in
   Alcotest.(check bool) "default stats exclude heat" false
     (List.exists (fun (k, _) -> String.length k >= 5 && String.sub k 0 5 = "heat_")
        default);
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    nn > 0 && go 0
-  in
   let prom = Rp_obs.Registry.to_prometheus (Memcached.Store.registry store) in
   Alcotest.(check bool) "prometheus labeled top-k gauge" true
-    (contains prom (Printf.sprintf "heat_topk_hits{key=%S} 50" (key 0)));
+    (Testutil.contains prom (Printf.sprintf "heat_topk_hits{key=%S} 50" (key 0)));
   Alcotest.(check bool) "prometheus tracked counter" true
-    (contains prom "# TYPE heat_hits_tracked_total counter");
+    (Testutil.contains prom "# TYPE heat_hits_tracked_total counter");
   (* heat dump (wire plane): one JSON document, top-n bounded. *)
   let json =
     match handle store (Memcached.Protocol.Heat_dump (Some 1)) with
@@ -189,10 +184,10 @@ let test_store_exposition () =
   Alcotest.(check bool) "dump is a json object" true
     (String.length json > 0 && json.[0] = '{');
   Alcotest.(check bool) "dump carries the hot key" true
-    (contains json (key 0));
-  Alcotest.(check bool) "dump respects n" false (contains json (key 5));
+    (Testutil.contains json (key 0));
+  Alcotest.(check bool) "dump respects n" false (Testutil.contains json (key 5));
   Alcotest.(check bool) "json endpoint document" true
-    (contains (Memcached.Store.heat_json store) "\"heat_enabled\":true");
+    (Testutil.contains (Memcached.Store.heat_json store) "\"heat_enabled\":true");
   (* The wire round-trip of the new verb itself. *)
   (match
      Memcached.Protocol.Parser.next
@@ -207,7 +202,7 @@ let test_store_exposition () =
   (* A store without the plane answers disabled everywhere. *)
   let off = Memcached.Store.create ~backend:Memcached.Store.Rp () in
   Alcotest.(check (option string)) "plane off" (Some "0")
-    (List.assoc_opt "heat_enabled" (Memcached.Store.heat_stats off));
+    (List.assoc_opt "heat_enabled" (Option.get (Memcached.Store.section off "heat")));
   Alcotest.(check string) "json off" "{\"heat_enabled\":false}"
     (Memcached.Store.heat_json off)
 
@@ -223,19 +218,19 @@ let test_stats_reset () =
     ignore (Memcached.Store.get store "hot")
   done;
   let stat_of kvs name = List.assoc_opt name kvs in
-  let before = Memcached.Store.heat_stats store in
+  let before = Option.get (Memcached.Store.section store "heat") in
   Alcotest.(check (option string)) "sketch populated" (Some "hot")
     (stat_of before "heat_top_hits_0_key");
   Alcotest.(check (option string)) "size histogram populated" (Some "10")
     (stat_of before "heat_get_value_bytes_count");
   let cmd_get_before =
-    stat_of (Memcached.Store.stats store) "cmd_get"
+    stat_of (Option.get (Memcached.Store.section store "")) "cmd_get"
   in
   (* [stats reset] over the wire answers END (an empty stats reply). *)
   (match handle store (Memcached.Protocol.Stats (Some "reset")) with
   | Memcached.Protocol.Stats_reply [] -> ()
   | _ -> Alcotest.fail "stats reset: not an empty stats reply");
-  let after = Memcached.Store.heat_stats store in
+  let after = Option.get (Memcached.Store.section store "heat") in
   Alcotest.(check (option string)) "sketch cleared" None
     (stat_of after "heat_top_hits_0_key");
   Alcotest.(check (option string)) "size histogram cleared" (Some "0")
@@ -243,7 +238,7 @@ let test_stats_reset () =
   (* The non-resettable counters survive — a reset must never destroy
      the monotonic series scrapers rate() over. *)
   Alcotest.(check (option string)) "cmd_get survives reset" cmd_get_before
-    (stat_of (Memcached.Store.stats store) "cmd_get");
+    (stat_of (Option.get (Memcached.Store.section store "")) "cmd_get");
   Alcotest.(check bool) "cmd_get was non-zero" true (cmd_get_before <> None)
 
 (* --- hot-path overhead guard --------------------------------------- *)

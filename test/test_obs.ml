@@ -94,53 +94,6 @@ let test_histogram_domains () =
     (per_domain * (10 + 20 + 30 + 40))
     s.Histogram.sum
 
-(* --- trace ring --- *)
-
-let test_trace_wraparound () =
-  let ring = Trace.create ~capacity:16 () in
-  for i = 0 to 39 do
-    Trace.emit ring ~arg:(i * 7) "test.event"
-  done;
-  Alcotest.(check int) "emitted" 40 (Trace.emitted ring);
-  Alcotest.(check int) "capacity rounded" 16 (Trace.capacity ring);
-  let events = Trace.snapshot ring in
-  Alcotest.(check int) "ring keeps newest capacity" 16 (List.length events);
-  (* Coherent snapshot: each surviving event is the newest for its slot,
-     in ascending seq order, with its own (seq-derived) payload — no torn
-     or stale records. *)
-  List.iteri
-    (fun i e ->
-      Alcotest.(check int) "seq" (24 + i) e.Trace.seq;
-      Alcotest.(check int) "payload matches seq" ((24 + i) * 7) e.Trace.arg;
-      Alcotest.(check string) "kind" "test.event" e.Trace.kind)
-    events;
-  Trace.clear ring;
-  Alcotest.(check int) "cleared" 0 (List.length (Trace.snapshot ring));
-  Trace.emit ring "test.after";
-  (match Trace.snapshot ring with
-  | [ e ] -> Alcotest.(check int) "seq continues after clear" 40 e.Trace.seq
-  | _ -> Alcotest.fail "expected exactly one event after clear")
-
-let test_trace_concurrent () =
-  let ring = Trace.create ~capacity:256 () in
-  let per_domain = 64 in
-  let domains =
-    Array.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            for i = 1 to per_domain do
-              Trace.emit ring ~arg:i (Printf.sprintf "d%d" d)
-            done))
-  in
-  Array.iter Domain.join domains;
-  let events = Trace.snapshot ring in
-  Alcotest.(check int) "all events fit" (4 * per_domain) (List.length events);
-  (* seqs strictly ascending, i.e. no slot collisions below capacity *)
-  let rec ascending = function
-    | a :: (b :: _ as rest) -> a.Trace.seq < b.Trace.seq && ascending rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "ascending seq" true (ascending events)
-
 (* --- registry rendering --- *)
 
 let test_registry_stats_and_json () =
@@ -165,12 +118,7 @@ let test_registry_stats_and_json () =
   Alcotest.(check bool) "json object" true
     (String.length json > 2 && json.[0] = '{' && json.[String.length json - 1] = '}');
   Alcotest.(check bool) "json has counter" true
-    (let sub = "\"widgets_total\":7" in
-     let rec find i =
-       i + String.length sub <= String.length json
-       && (String.sub json i (String.length sub) = sub || find (i + 1))
-     in
-     find 0);
+    (Testutil.contains json "\"widgets_total\":7");
   Alcotest.check_raises "invalid name rejected"
     (Invalid_argument "Rp_obs.Registry: invalid metric name bad name") (fun () ->
       ignore (Registry.counter reg "bad name"))
@@ -223,13 +171,7 @@ let test_prometheus_format () =
       if not (comment || sample_line_ok line) then
         Alcotest.failf "bad exposition line: %S" line)
     lines;
-  let has sub =
-    let rec find i =
-      i + String.length sub <= String.length text
-      && (String.sub text i (String.length sub) = sub || find (i + 1))
-    in
-    find 0
-  in
+  let has = Testutil.contains text in
   Alcotest.(check bool) "TYPE counter" true (has "# TYPE requests_total counter");
   Alcotest.(check bool) "TYPE histogram" true (has "# TYPE latency_ns histogram");
   Alcotest.(check bool) "cumulative buckets" true (has "latency_ns_bucket{le=");
@@ -321,13 +263,7 @@ let test_metrics_http () =
             Unix.close fd;
             Buffer.contents buf
           in
-          let has body sub =
-            let rec find i =
-              i + String.length sub <= String.length body
-              && (String.sub body i (String.length sub) = sub || find (i + 1))
-            in
-            find 0
-          in
+          let has = Testutil.contains in
           let metrics = fetch "/metrics" in
           Alcotest.(check bool) "/metrics is 200" true
             (has metrics "HTTP/1.0 200 OK");
@@ -438,11 +374,6 @@ let () =
           Alcotest.test_case "percentile bounds" `Quick test_histogram_percentiles;
           Alcotest.test_case "bucket boundaries" `Quick test_histogram_buckets;
           Alcotest.test_case "4-domain merge" `Quick test_histogram_domains;
-        ] );
-      ( "trace ring",
-        [
-          Alcotest.test_case "wraparound snapshot" `Quick test_trace_wraparound;
-          Alcotest.test_case "concurrent emit" `Quick test_trace_concurrent;
         ] );
       ( "registry",
         [

@@ -3,31 +3,7 @@
    full attach -> mutate -> snapshot -> crash -> warm-restart cycle. *)
 
 open Rp_persist
-
-(* --- scratch directories (flat; every test gets a fresh one) --- *)
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
-let fresh_dir =
-  let ctr = ref 0 in
-  fun () ->
-    incr ctr;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "rp-persist-test-%d-%d" (Unix.getpid ()) !ctr)
-    in
-    rm_rf dir;
-    Unix.mkdir dir 0o755;
-    dir
-
-let with_dir f =
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+open Testutil
 
 let read_file path =
   let ic = open_in_bin path in
@@ -621,7 +597,7 @@ let test_persist_stats_section () =
       with_manager ~dir store (fun p ->
           ignore (Store.set store ~key:"k" ~flags:0 ~exptime:0 ~data:"v");
           ignore (Persist.snapshot_now p);
-          let stats = Store.persist_stats store in
+          let stats = Option.get (Store.section store "persist") in
           let get k =
             match List.assoc_opt k stats with
             | Some v -> v
@@ -636,7 +612,7 @@ let test_persist_stats_section () =
           Alcotest.(check bool) "not in plain stats" true
             (List.for_all
                (fun (k, _) -> not (String.length k >= 8 && String.sub k 0 8 = "persist_"))
-               (Store.stats store))))
+               (Option.get (Store.section store "")))))
 
 let () =
   Alcotest.run "persist"

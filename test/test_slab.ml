@@ -138,7 +138,7 @@ let test_store_reports_fragmentation () =
   Alcotest.(check bool) "fragmentation reported" true
     (Store.fragmentation store > 0.0);
   Alcotest.(check int) "one class in use" 1 (List.length (Store.slab_stats store));
-  let stats = Store.stats store in
+  let stats = Option.get (Store.section store "") in
   Alcotest.(check bool) "stats expose slab rows" true
     (List.mem_assoc "slab_fragmentation" stats
     && List.mem_assoc "bytes_requested" stats)

@@ -204,7 +204,7 @@ let test_rp_eviction_second_chance () =
   Alcotest.(check bool) "something was evicted" true (Store.evictions store > 0)
 
 let stat store key =
-  match List.assoc_opt key (Store.stats store) with
+  match List.assoc_opt key (Option.get (Store.section store "")) with
   | Some v -> int_of_string v
   | None -> Alcotest.failf "missing stat %s" key
 
@@ -345,11 +345,13 @@ let test_exptime_threshold backend () =
     (get_data store "rel")
 
 let test_exptime_logged_absolute backend () =
-  (* Replay determinism: the persist hook must see expiry as the absolute
+  (* Replay determinism: the mutation observer must see expiry as the absolute
      Unix seconds computed once at op time, never a relative offset. *)
   let store, now = make_store backend in
   let last = ref None in
-  Store.set_persist_hook store (Some (fun r -> last := Some r));
+  let observe r = last := Some r in
+  Store.attach store
+    { (Store.plane "persist" (fun () -> [])) with observe = Some observe };
   let logged_exptime exptime =
     ignore (Store.set store ~key:"k" ~flags:0 ~exptime ~data:"v");
     match !last with
@@ -368,14 +370,14 @@ let test_exptime_logged_absolute backend () =
   Alcotest.(check bool) "negative is expired, not 'never'" true
     (let e = logged_exptime (-1) in
      e > 0. && e < 1.);
-  Store.set_persist_hook store None
+  Store.detach store "persist"
 
 let test_stats backend () =
   let store, _ = make_store backend in
   set_ok store "k" "v";
   ignore (Store.get store "k");
   ignore (Store.get store "ghost");
-  let stats = Store.stats store in
+  let stats = Option.get (Store.section store "") in
   let get key = List.assoc key stats in
   Alcotest.(check string) "hits" "1" (get "get_hits");
   Alcotest.(check string) "misses" "1" (get "get_misses");

@@ -5,29 +5,7 @@
    directory validation. *)
 
 open Memcached
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
-let fresh_dir =
-  let ctr = ref 0 in
-  fun () ->
-    incr ctr;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "rp-tier-test-%d-%d" (Unix.getpid ()) !ctr)
-    in
-    rm_rf dir;
-    Unix.mkdir dir 0o755;
-    dir
-
-let with_dir f =
-  let dir = fresh_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+open Testutil
 
 let open_cold ?segment_bytes ~dir ~max_bytes () =
   match Rp_tier.Cold_store.open_ ?segment_bytes ~dir ~max_bytes () with
@@ -196,25 +174,26 @@ let test_cold_compact_candidate () =
 (* Wire a raw Cold_store under a store, exactly as the Tier glue does but
    without the compactor domain, so tests control every step. *)
 let attach_cold store cold =
-  Store.set_tier store
-    (Some
-       {
-         Store.th_demote =
-           (fun key data ->
-             match Rp_tier.Cold_store.append cold ~key ~data with
-             | Ok l -> Some (l.Rp_tier.segment, l.Rp_tier.offset, l.Rp_tier.len)
-             | Error _ -> None);
-         th_read =
-           (fun (segment, offset, len) ->
-             match Rp_tier.Cold_store.read cold { segment; offset; len } with
-             | Ok kv -> Ok kv
-             | Error Rp_tier.Gone -> Error Store.Tier_gone
-             | Error Rp_tier.Torn -> Error Store.Tier_torn);
-         th_mark_dead =
-           (fun (segment, offset, len) ->
-             Rp_tier.Cold_store.mark_dead cold { segment; offset; len });
-         th_admit = (fun () -> true);
-       })
+  let hooks =
+    {
+      Store.th_demote =
+        (fun key data ->
+          match Rp_tier.Cold_store.append cold ~key ~data with
+          | Ok l -> Some (l.Rp_tier.segment, l.Rp_tier.offset, l.Rp_tier.len)
+          | Error _ -> None);
+      th_read =
+        (fun (segment, offset, len) ->
+          match Rp_tier.Cold_store.read cold { segment; offset; len } with
+          | Ok kv -> Ok kv
+          | Error Rp_tier.Gone -> Error Store.Tier_gone
+          | Error Rp_tier.Torn -> Error Store.Tier_torn);
+      th_mark_dead =
+        (fun (segment, offset, len) ->
+          Rp_tier.Cold_store.mark_dead cold { segment; offset; len });
+      th_admit = (fun () -> true);
+    }
+  in
+  Store.attach store { (Store.plane "tier" (fun () -> [])) with tier = Some hooks }
 
 let make_tiered ?(max_bytes = 16 * 1024) dir =
   let store =
@@ -493,16 +472,54 @@ let test_tier_compaction () =
       | None -> Alcotest.failf "survivor %s lost by compaction" (key i))
     survivors;
   (* The stats section is live while attached. *)
-  let stats = Store.tier_stats store in
+  let stats = Option.get (Store.section store "tier") in
   Alcotest.(check (option string)) "mode" (Some "demote")
     (List.assoc_opt "tier_mode" stats);
   Alcotest.(check bool) "demotion counter exported" true
     (List.mem_assoc "tier_demotions_total" stats)
 
+(* Under [Guard.watch_tier], Emergency pauses the tier: demotions are shed
+   (eviction drops instead) while cold reads keep being served, and the
+   pause lifts once the ladder descends. *)
+let test_guard_coupling () =
+  with_dir @@ fun dir ->
+  let store =
+    Store.create ~backend:Store.Rp ~max_bytes:(16 * 1024) ~initial_size:64 ()
+  in
+  let g = Guard.install ~interval:10.0 store in
+  let p = ref 0.0 in
+  Rp_guard.add_source g ~name:"manual" (fun () -> !p);
+  let tier = Result.get_ok (Tier.attach ~dir ~max_mb:4 store) in
+  Fun.protect ~finally:(fun () -> Tier.stop tier) @@ fun () ->
+  Guard.watch_tier g tier;
+  Alcotest.(check bool) "tier source" true
+    (List.mem_assoc "tier" (Rp_guard.source_pressures g));
+  fill store 48;
+  let i = List.hd (cold_keys store 48) in
+  p := 2.0;
+  Rp_guard.sweep g;
+  Alcotest.(check bool) "paused" true (Tier.paused tier);
+  Alcotest.(check bool) "tier inactive" false (Store.tier_active store);
+  let demoted = Store.tier_demotions store and evicted = Store.evictions store in
+  for j = 48 to 95 do
+    ignore (Store.set store ~key:(key j) ~flags:0 ~exptime:0 ~data:(payload j))
+  done;
+  Alcotest.(check int) "demotions shed" demoted (Store.tier_demotions store);
+  Alcotest.(check bool) "evicting instead" true (Store.evictions store > evicted);
+  Alcotest.(check (option string)) "cold read served" (Some (payload i))
+    (Option.map (fun (v : Protocol.value) -> v.vdata) (Store.get store (key i)));
+  (* Paused, the mem source reads raw fill again, and a full store holds
+     that at Emergency: empty it so the ladder can descend. *)
+  p := 0.0;
+  Store.flush_all store;
+  for _ = 1 to 8 do Rp_guard.sweep g done;
+  Alcotest.(check bool) "pause lifted" false (Tier.paused tier);
+  Alcotest.(check bool) "tier active again" true (Store.tier_active store)
+
 let test_tier_stats_disabled () =
   let store = Store.create ~backend:Store.Rp () in
   Alcotest.(check (option string)) "disabled marker" (Some "0")
-    (List.assoc_opt "tier_enabled" (Store.tier_stats store))
+    (List.assoc_opt "tier_enabled" (Option.get (Store.section store "tier")))
 
 (* --- startup directory validation --- *)
 
@@ -558,6 +575,8 @@ let () =
         [
           Alcotest.test_case "compaction" `Quick test_tier_compaction;
           Alcotest.test_case "stats_disabled" `Quick test_tier_stats_disabled;
+          Alcotest.test_case "guard emergency pauses the tier" `Quick
+            test_guard_coupling;
         ] );
       ( "dircheck", [ Alcotest.test_case "validate" `Quick test_dircheck ] );
     ]

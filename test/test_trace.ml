@@ -4,27 +4,9 @@
    guard. *)
 
 module Trend = Rp_harness.Trend
+open Testutil
 
 (* --- helpers ----------------------------------------------------------- *)
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
-let fresh_dir =
-  let ctr = ref 0 in
-  fun () ->
-    incr ctr;
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "rp-trace-test-%d-%d" (Unix.getpid ()) !ctr)
-    in
-    rm_rf dir;
-    Unix.mkdir dir 0o755;
-    dir
 
 (* Every test mutates the process-global recorder; bracket it so a
    failure in one test cannot poison the next. *)
@@ -490,6 +472,36 @@ let test_full_sample_overhead () =
         (Printf.sprintf "fully sampled/disabled = %.3f <= 1.5" ratio)
         true (ratio <= 1.5))
 
+(* Control-plane incidents land in the flight recorder unsampled: a fired
+   failpoint, and a slow client killed by the drain deadline (it asks for
+   a 4 MiB reply and never reads it). *)
+let test_control_instants () =
+  with_recorder @@ fun () ->
+  let recorded name = has_name (fst (Rp_trace.snapshot ())) name in
+  Rp_fault.arm "test.trace.fire" ~trigger:Rp_fault.One_shot ~action:Rp_fault.Yield;
+  Rp_fault.point "test.trace.fire";
+  Alcotest.(check bool) "fault instant" true (recorded "fault.test.trace.fire");
+  let store = Memcached.Store.create () in
+  let data = String.make (512 * 1024) 'x' in
+  ignore (Memcached.Store.set store ~key:"big" ~flags:0 ~exptime:0 ~data);
+  let path = Filename.concat (fresh_dir ()) "slow.sock" in
+  let config =
+    { Memcached.Server.default_config with workers = 1; drain_deadline = 0.2 }
+  in
+  let server =
+    Memcached.Server.start ~store ~config (Memcached.Server.Unix_socket path)
+  in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () ->
+      Unix.close fd;
+      Memcached.Server.stop server;
+      rm_rf (Filename.dirname path))
+  @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let gets = String.concat "" (List.init 8 (fun _ -> "get big\r\n")) in
+  ignore (Unix.write_substring fd gets 0 (String.length gets));
+  eventually ~label:"slow-kill instant" (fun () -> recorded "server.conn.slow_kill")
+
 let () =
   Alcotest.run "rp_trace"
     [
@@ -507,6 +519,8 @@ let () =
           Alcotest.test_case "tail-trigger retention" `Quick test_tail_trigger;
           Alcotest.test_case "evloop end-to-end spans" `Quick
             test_evloop_end_to_end;
+          Alcotest.test_case "fault and slow-kill instants" `Quick
+            test_control_instants;
           Alcotest.test_case "fully-sampled overhead" `Slow
             test_full_sample_overhead;
         ] );
