@@ -94,19 +94,24 @@ let feed t s =
   | Text p -> Protocol.Parser.feed p s
   | Binary p -> Binary_protocol.Parser.feed p s
 
-(* Drain the socket until it would block (or EOF), feeding the parser.
-   Raises like any socket read (Unix_error, injected faults); the worker
-   treats that as a torn connection. *)
+(* Drain the socket, feeding the parser, until a read comes back short
+   (the socket held less than was asked for), would block, or hits EOF.
+   Stopping at a short read saves the EAGAIN read that would otherwise
+   end every wakeup; bytes that land after it make the fd readable again
+   for the next poll. A read capped by a failpoint asks for the cap, so
+   a capped read that fills it keeps draining. Raises like any socket
+   read (Unix_error, injected faults); the worker treats that as a torn
+   connection. *)
 let fill t =
   let rec go () =
     match Io.read_nonblock ~fault:"server.read.split" t.fd t.rbuf with
     | `Would_block -> `Ok
     | `Eof -> `Eof
-    | `Data n ->
+    | `Data (n, asked) ->
         Rp_obs.Counter.incr t.reads;
         t.last_active <- Unix.gettimeofday ();
         feed t (Bytes.sub_string t.rbuf 0 n);
-        go ()
+        if n < asked then `Ok else go ()
   in
   Rp_trace.with_span ~arg:t.id k_fill go
 

@@ -46,7 +46,9 @@ val no_progress_since : t -> float
     deadline is measured from here. *)
 
 val fill : t -> [ `Eof | `Ok ]
-(** Read until the socket would block, feeding the parser. Raises like a
+(** Read until a read comes back short of what it asked for (the socket
+    is drained for now), would block, or sees EOF, feeding the parser;
+    a level-triggered poll reports any later bytes. Raises like a
     socket read ([Unix.Unix_error], {!Rp_fault.Injected}); the worker
     treats that as a torn connection. Runs through the
     ["server.read.split"] failpoint. *)

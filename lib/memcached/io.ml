@@ -45,7 +45,7 @@ let read_nonblock ?(fault = "") fd buf =
   let rec go () =
     match Unix.read fd buf 0 want with
     | 0 -> `Eof
-    | n -> `Data n
+    | n -> `Data (n, want)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         `Would_block

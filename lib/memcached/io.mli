@@ -31,9 +31,11 @@ val read : ?fault:string -> Unix.file_descr -> Bytes.t -> int
     [`Would_block]. [fault] works as in {!write_all}. *)
 
 val read_nonblock :
-  ?fault:string -> Unix.file_descr -> Bytes.t -> [ `Data of int | `Eof | `Would_block ]
-(** One read attempt into [buf] from offset 0. [`Data n] delivered [n > 0]
-    bytes; [`Eof] means the peer closed. *)
+  ?fault:string -> Unix.file_descr -> Bytes.t -> [ `Data of int * int | `Eof | `Would_block ]
+(** One read attempt into [buf] from offset 0. [`Data (n, asked)]
+    delivered [n > 0] of the [asked] bytes requested: the buffer's size,
+    or less when [fault] capped the read. [n < asked] means the socket
+    held no more bytes at that moment. [`Eof] means the peer closed. *)
 
 val write_nonblock :
   ?fault:string -> Unix.file_descr -> string -> off:int -> [ `Wrote of int | `Would_block ]

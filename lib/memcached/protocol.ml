@@ -49,10 +49,16 @@ type response =
 
 let crlf = "\r\n"
 
-let request_key_valid key =
-  let len = String.length key in
-  len >= 1 && len <= 250
-  && String.for_all (fun c -> c > ' ' && c <> '\x7f') key
+(* memcached key rules over [s.[a .. a+len-1]], so the parser can check a
+   key in place before copying it out of the line. *)
+let rec key_chars_ok s i stop =
+  i = stop
+  || (let c = String.unsafe_get s i in
+      c > ' ' && c <> '\x7f' && key_chars_ok s (i + 1) stop)
+
+let key_span_valid s a len = len >= 1 && len <= 250 && key_chars_ok s a (a + len)
+
+let request_key_valid key = key_span_valid key 0 (String.length key)
 
 (* --- encoding --- *)
 
@@ -93,42 +99,59 @@ let encode_request = function
   | Version -> "version" ^ crlf
   | Quit -> "quit" ^ crlf
 
+(* Decimal digits of [n <= 0], most significant first. Working on the
+   non-positive side covers [min_int], whose magnitude has no [int]. *)
+let rec add_neg_digits buf n =
+  if n <= -10 then add_neg_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+(* [string_of_int n]'s bytes, written straight into [buf]. *)
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_neg_digits buf n
+  end
+  else add_neg_digits buf (-n)
+
+(* A direct recursion rather than [List.iter]: a closure over [buf]
+   would be allocated on every call. *)
+let rec add_values buf = function
+  | [] -> Buffer.add_string buf "END\r\n"
+  | { vkey; vflags; vdata; vcas } :: rest ->
+      Buffer.add_string buf "VALUE ";
+      Buffer.add_string buf vkey;
+      Buffer.add_char buf ' ';
+      add_int buf vflags;
+      Buffer.add_char buf ' ';
+      add_int buf (String.length vdata);
+      (match vcas with
+      | None -> ()
+      | Some cas ->
+          Buffer.add_char buf ' ';
+          add_int buf cas);
+      Buffer.add_string buf crlf;
+      Buffer.add_string buf vdata;
+      Buffer.add_string buf crlf;
+      add_values buf rest
+
 (* Renders straight into a caller-owned buffer so a pipelined batch of
-   responses coalesces without one string allocation per command. *)
+   responses coalesces without one string allocation per command; the
+   common replies allocate nothing at all. *)
 let encode_response_into buf = function
-  | Values values ->
-      List.iter
-        (fun { vkey; vflags; vdata; vcas } ->
-          Buffer.add_string buf "VALUE ";
-          Buffer.add_string buf vkey;
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf (string_of_int vflags);
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf (string_of_int (String.length vdata));
-          (match vcas with
-          | None -> ()
-          | Some cas ->
-              Buffer.add_char buf ' ';
-              Buffer.add_string buf (string_of_int cas));
-          Buffer.add_string buf crlf;
-          Buffer.add_string buf vdata;
-          Buffer.add_string buf crlf)
-        values;
-      Buffer.add_string buf "END";
-      Buffer.add_string buf crlf
-  | Stored -> Buffer.add_string buf ("STORED" ^ crlf)
-  | Not_stored -> Buffer.add_string buf ("NOT_STORED" ^ crlf)
-  | Exists -> Buffer.add_string buf ("EXISTS" ^ crlf)
-  | Not_found -> Buffer.add_string buf ("NOT_FOUND" ^ crlf)
-  | Deleted -> Buffer.add_string buf ("DELETED" ^ crlf)
-  | Touched -> Buffer.add_string buf ("TOUCHED" ^ crlf)
-  | Ok_reply -> Buffer.add_string buf ("OK" ^ crlf)
+  | Values values -> add_values buf values
+  | Stored -> Buffer.add_string buf "STORED\r\n"
+  | Not_stored -> Buffer.add_string buf "NOT_STORED\r\n"
+  | Exists -> Buffer.add_string buf "EXISTS\r\n"
+  | Not_found -> Buffer.add_string buf "NOT_FOUND\r\n"
+  | Deleted -> Buffer.add_string buf "DELETED\r\n"
+  | Touched -> Buffer.add_string buf "TOUCHED\r\n"
+  | Ok_reply -> Buffer.add_string buf "OK\r\n"
   | Version_reply v ->
       Buffer.add_string buf "VERSION ";
       Buffer.add_string buf v;
       Buffer.add_string buf crlf
   | Number n ->
-      Buffer.add_string buf (string_of_int n);
+      add_int buf n;
       Buffer.add_string buf crlf
   | Stats_reply stats ->
       List.iter
@@ -139,13 +162,10 @@ let encode_response_into buf = function
           Buffer.add_string buf v;
           Buffer.add_string buf crlf)
         stats;
-      Buffer.add_string buf "END";
-      Buffer.add_string buf crlf
+      Buffer.add_string buf "END\r\n"
   | Trace_json json ->
       Buffer.add_string buf json;
-      Buffer.add_string buf crlf;
-      Buffer.add_string buf "END";
-      Buffer.add_string buf crlf
+      Buffer.add_string buf "\r\nEND\r\n"
   | Client_error msg ->
       Buffer.add_string buf "CLIENT_ERROR ";
       Buffer.add_string buf msg;
@@ -154,7 +174,7 @@ let encode_response_into buf = function
       Buffer.add_string buf "SERVER_ERROR ";
       Buffer.add_string buf msg;
       Buffer.add_string buf crlf
-  | Error_reply -> Buffer.add_string buf ("ERROR" ^ crlf)
+  | Error_reply -> Buffer.add_string buf "ERROR\r\n"
 
 let encode_response response =
   let buf = Buffer.create 128 in
@@ -184,39 +204,43 @@ module Inbuf = struct
 
   let available t = String.length t.data - t.pos
 
+  (* Top-level rather than local to [line_end]: a local function over
+     [data] would allocate its closure on every call. *)
+  let rec crlf_from data last i =
+    if i >= last then -1
+    else if String.unsafe_get data i = '\r' && String.unsafe_get data (i + 1) = '\n'
+    then i
+    else crlf_from data last (i + 1)
+
+  (* Index of the CR of the first CRLF at or after [pos], or -1. *)
+  let line_end t = crlf_from t.data (String.length t.data - 1) t.pos
+
   (* A CRLF-terminated line, without the terminator. *)
   let take_line t =
-    let rec find i =
-      if i + 1 >= String.length t.data then None
-      else if t.data.[i] = '\r' && t.data.[i + 1] = '\n' then Some i
-      else find (i + 1)
-    in
-    match find t.pos with
-    | None -> None
-    | Some i ->
-        let line = String.sub t.data t.pos (i - t.pos) in
-        t.pos <- i + 2;
-        Some line
+    let i = line_end t in
+    if i < 0 then None
+    else begin
+      let line = String.sub t.data t.pos (i - t.pos) in
+      t.pos <- i + 2;
+      Some line
+    end
 
   (* Drop buffered bytes up to and including the next CRLF. Returns
      [true] once a CRLF was consumed; [false] when the buffer ran dry
      first (a trailing '\r' is kept so a CRLF split across feed chunks
      is still recognised). *)
   let discard_line t =
-    let len = String.length t.data in
-    let rec find i =
-      if i + 1 >= len then None
-      else if t.data.[i] = '\r' && t.data.[i + 1] = '\n' then Some i
-      else find (i + 1)
-    in
-    match find t.pos with
-    | Some i ->
-        t.pos <- i + 2;
-        true
-    | None ->
-        t.data <- (if len > t.pos && t.data.[len - 1] = '\r' then "\r" else "");
-        t.pos <- 0;
-        false
+    let i = line_end t in
+    if i >= 0 then begin
+      t.pos <- i + 2;
+      true
+    end
+    else begin
+      let len = String.length t.data in
+      t.data <- (if len > t.pos && t.data.[len - 1] = '\r' then "\r" else "");
+      t.pos <- 0;
+      false
+    end
 
   (* [n] data bytes followed by CRLF. *)
   let take_block t n =
@@ -246,18 +270,119 @@ module Parser = struct
 
   type state = Await_line | Await_data of pending | Discard_line
 
-  type t = { inbuf : Inbuf.t; max_line : int; mutable state : state }
+  (* A command line is parsed where it lies in the input buffer: its
+     space-separated non-empty tokens are recorded as [starts]/[stops]
+     offsets into [line], and only the strings the request keeps (keys,
+     a stats argument) are copied out. *)
+  type t = {
+    inbuf : Inbuf.t;
+    max_line : int;
+    mutable state : state;
+    mutable line : string;
+    mutable starts : int array;
+    mutable stops : int array;
+    mutable ntok : int;
+  }
 
   let create ?(max_line = 8192) () =
     if max_line < 1 then invalid_arg "Protocol.Parser.create: max_line < 1";
-    { inbuf = Inbuf.create (); max_line; state = Await_line }
+    {
+      inbuf = Inbuf.create ();
+      max_line;
+      state = Await_line;
+      line = "";
+      starts = Array.make 8 0;
+      stops = Array.make 8 0;
+      ntok = 0;
+    }
+
   let feed t s = Inbuf.feed t.inbuf s
   let buffered_bytes t = Inbuf.available t.inbuf
 
-  let tokens line =
-    String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
+  let push_token t a b =
+    if t.ntok = Array.length t.starts then begin
+      let grow arr = Array.append arr (Array.make (Array.length arr) 0) in
+      t.starts <- grow t.starts;
+      t.stops <- grow t.stops
+    end;
+    t.starts.(t.ntok) <- a;
+    t.stops.(t.ntok) <- b;
+    t.ntok <- t.ntok + 1
 
-  let int_arg s = int_of_string_opt s
+  let rec skip_spaces s stop i =
+    if i < stop && String.unsafe_get s i = ' ' then skip_spaces s stop (i + 1) else i
+
+  let rec token_end s stop i =
+    if i < stop && String.unsafe_get s i <> ' ' then token_end s stop (i + 1) else i
+
+  let rec tokens_from t s stop i =
+    let a = skip_spaces s stop i in
+    if a < stop then begin
+      let b = token_end s stop a in
+      push_token t a b;
+      tokens_from t s stop b
+    end
+
+  (* The tokens of [s.[a .. stop-1]]: what [String.split_on_char ' ']
+     then dropping empty strings would give, without building either. *)
+  let tokenize t s a stop =
+    t.line <- s;
+    t.ntok <- 0;
+    tokens_from t s stop a
+
+  let tok_len t i = t.stops.(i) - t.starts.(i)
+  let tok t i = String.sub t.line t.starts.(i) (tok_len t i)
+
+  let rec same_bytes s a lit k =
+    k = String.length lit
+    || (String.unsafe_get s (a + k) = String.unsafe_get lit k && same_bytes s a lit (k + 1))
+
+  (* Token [i] equals [lit]. *)
+  let tok_is t i lit =
+    tok_len t i = String.length lit && same_bytes t.line t.starts.(i) lit 0
+
+  let key_ok t i = key_span_valid t.line t.starts.(i) (tok_len t i)
+
+  exception Not_int
+
+  (* Decimal digits of [s.[i .. stop-1]] as a non-negative int, or -1 at
+     the first non-digit. *)
+  let rec digits s stop i n =
+    if i = stop then n
+    else
+      let c = String.unsafe_get s i in
+      if c >= '0' && c <= '9' then digits s stop (i + 1) ((n * 10) + Char.code c - 48)
+      else -1
+
+  (* Token [i] as [int_of_string] reads it, raising [Not_int] where that
+     gives [None]. A plain decimal of at most 18 digits (no overflow
+     possible) is read in place; anything else, such as a sign-only,
+     hex or overlong token, goes through [int_of_string_opt] itself. *)
+  let int_tok t i =
+    let s = t.line and a = t.starts.(i) and stop = t.stops.(i) in
+    let neg = String.unsafe_get s a = '-' in
+    let d = if neg then a + 1 else a in
+    let n = if stop - d >= 1 && stop - d <= 18 then digits s stop d 0 else -1 in
+    if n >= 0 then if neg then -n else n
+    else match int_of_string_opt (tok t i) with Some n -> n | None -> raise_notrace Not_int
+
+  (* What follows the first [n] tokens: nothing, or exactly "noreply". *)
+  let tail t n =
+    if t.ntok = n then `Plain
+    else if t.ntok = n + 1 && tok_is t n "noreply" then `Noreply
+    else `Other
+
+  (* The verb as a shared literal, so it can be matched without copying
+     it out of the line; "" for an unknown verb. *)
+  let verbs =
+    [| "get"; "set"; "gets"; "delete"; "incr"; "decr"; "touch"; "add"; "replace";
+       "append"; "prepend"; "cas"; "stats"; "trace"; "heat"; "cluster";
+       "flush_all"; "version"; "quit" |]
+
+  let rec verb_from t k =
+    if k = Array.length verbs then ""
+    else if tok_is t 0 verbs.(k) then verbs.(k)
+    else verb_from t (k + 1)
 
   let storage_of pending data : storage =
     {
@@ -282,140 +407,139 @@ module Parser = struct
         | None -> Error "cas without unique")
     | verb -> Error ("unknown storage verb " ^ verb)
 
-  let parse_storage_line verb args =
-    let with_cas = verb = "cas" in
-    let consume key flags exptime bytes cas rest =
-      match (int_arg flags, int_arg exptime, int_arg bytes) with
-      | Some flags, Some exptime, Some bytes when bytes >= 0 ->
-          if not (request_key_valid key) then Error "bad key"
-          else begin
-            let noreply = rest = [ "noreply" ] in
-            if rest <> [] && not noreply then Error "bad command line format"
-            else
-              Ok { verb; key; flags; exptime; bytes; noreply; cas }
-          end
-      | _ -> Error "bad command line format"
-    in
-    match (with_cas, args) with
-    | false, key :: flags :: exptime :: bytes :: rest ->
-        consume key flags exptime bytes None rest
-    | true, key :: flags :: exptime :: bytes :: unique :: rest -> (
-        match int_arg unique with
-        | Some u -> consume key flags exptime bytes (Some u) rest
-        | None -> Error "bad cas unique")
-    | _ -> Error "bad command line format"
+  (* [verb key flags exptime bytes [unique] [noreply]]. *)
+  let parse_storage_line t verb =
+    let fixed = if verb = "cas" then 6 else 5 in
+    if t.ntok < fixed then Error "bad command line format"
+    else
+      match if fixed = 6 then Some (int_tok t 5) else None with
+      | exception Not_int -> Error "bad cas unique"
+      | cas -> (
+          match (int_tok t 2, int_tok t 3, int_tok t 4) with
+          | exception Not_int -> Error "bad command line format"
+          | flags, exptime, bytes when bytes >= 0 ->
+              if not (key_ok t 1) then Error "bad key"
+              else (
+                match tail t fixed with
+                | `Other -> Error "bad command line format"
+                | (`Plain | `Noreply) as r ->
+                    Ok { verb; key = tok t 1; flags; exptime; bytes; noreply = r = `Noreply; cas })
+          | _ -> Error "bad command line format")
 
-  let parse_keys verb keys =
-    if keys = [] then Error ("bad " ^ verb ^ ": no keys")
-    else if List.for_all request_key_valid keys then Ok keys
+  let rec keys_ok t i = i = t.ntok || (key_ok t i && keys_ok t (i + 1))
+  let rec keys_from t i acc = if i = 0 then acc else keys_from t (i - 1) (tok t i :: acc)
+
+  let parse_keys t ~no_keys make =
+    if t.ntok = 1 then Error no_keys
+    else if keys_ok t 1 then Ok (make (keys_from t (t.ntok - 1) []))
     else Error "bad key"
 
-  let parse_line t line =
-    match tokens line with
-    | [] -> None (* empty line: ignore, keep reading *)
-    | verb :: args -> (
-        match verb with
-        | "get" -> (
-            match parse_keys "get" args with
-            | Ok keys -> Some (Ok (Get keys))
-            | Error e -> Some (Error e))
-        | "gets" -> (
-            match parse_keys "gets" args with
-            | Ok keys -> Some (Ok (Gets keys))
-            | Error e -> Some (Error e))
-        | "set" | "add" | "replace" | "append" | "prepend" | "cas" -> (
-            match parse_storage_line verb args with
-            | Ok pending ->
-                t.state <- Await_data pending;
-                None
-            | Error e -> Some (Error e))
-        | "delete" -> (
-            match args with
-            | [ key ] when request_key_valid key ->
-                Some (Ok (Delete { key; noreply = false }))
-            | [ key; "noreply" ] when request_key_valid key ->
-                Some (Ok (Delete { key; noreply = true }))
-            | _ -> Some (Error "bad delete"))
-        | "incr" | "decr" -> (
-            let build key delta noreply =
-              if verb = "incr" then Incr { key; delta; noreply }
-              else Decr { key; delta; noreply }
-            in
-            match args with
-            | [ key; delta ] when request_key_valid key -> (
-                match int_arg delta with
-                | Some d when d >= 0 -> Some (Ok (build key d false))
-                | _ -> Some (Error "invalid numeric delta argument"))
-            | [ key; delta; "noreply" ] when request_key_valid key -> (
-                match int_arg delta with
-                | Some d when d >= 0 -> Some (Ok (build key d true))
-                | _ -> Some (Error "invalid numeric delta argument"))
-            | _ -> Some (Error ("bad " ^ verb)))
-        | "touch" -> (
-            match args with
-            | [ key; exptime ] when request_key_valid key -> (
-                match int_arg exptime with
-                | Some e -> Some (Ok (Touch { key; exptime = e; noreply = false }))
-                | None -> Some (Error "bad touch"))
-            | [ key; exptime; "noreply" ] when request_key_valid key -> (
-                match int_arg exptime with
-                | Some e -> Some (Ok (Touch { key; exptime = e; noreply = true }))
-                | None -> Some (Error "bad touch"))
-            | _ -> Some (Error "bad touch"))
-        | "stats" -> (
-            match args with
-            | [] -> Some (Ok (Stats None))
-            | [ arg ] -> Some (Ok (Stats (Some arg)))
-            | _ -> Some (Error "bad stats"))
-        | "trace" -> (
-            match args with
-            | [ "dump" ] -> Some (Ok (Trace_dump None))
-            | [ "dump"; n ] -> (
-                match int_arg n with
-                | Some n when n > 0 -> Some (Ok (Trace_dump (Some n)))
-                | _ -> Some (Error "bad trace dump count"))
-            | _ -> Some (Error "bad trace"))
-        | "heat" -> (
-            match args with
-            | [ "dump" ] -> Some (Ok (Heat_dump None))
-            | [ "dump"; n ] -> (
-                match int_arg n with
-                | Some n when n > 0 -> Some (Ok (Heat_dump (Some n)))
-                | _ -> Some (Error "bad heat dump count"))
-            | _ -> Some (Error "bad heat"))
-        | "cluster" -> (
-            match args with
-            | [ "promote" ] -> Some (Ok Cluster_promote)
-            | _ -> Some (Error "bad cluster"))
-        | "flush_all" -> (
-            match args with
-            | [] -> Some (Ok (Flush_all { noreply = false }))
-            | [ "noreply" ] -> Some (Ok (Flush_all { noreply = true }))
-            | _ -> Some (Error "bad flush_all"))
-        | "version" -> Some (Ok Version)
-        | "quit" -> Some (Ok Quit)
-        | _ -> Some (Error "ERROR"))
+  (* [verb key <int> [noreply]], the shape of incr, decr and touch. *)
+  let key_int_noreply t ~bad ~bad_int ~valid make =
+    if t.ntok >= 3 && key_ok t 1 then
+      match tail t 3 with
+      | `Other -> Error bad
+      | (`Plain | `Noreply) as r -> (
+          match int_tok t 2 with
+          | n when valid n -> Ok (make (tok t 1) n (r = `Noreply))
+          | _ | (exception Not_int) -> Error bad_int)
+    else Error bad
+
+  (* [verb "dump" [n > 0]], the shape of trace dump and heat dump. *)
+  let dump_request t ~bad ~bad_count make =
+    if t.ntok = 2 && tok_is t 1 "dump" then Ok (make None)
+    else if t.ntok = 3 && tok_is t 1 "dump" then
+      match int_tok t 2 with
+      | n when n > 0 -> Ok (make (Some n))
+      | _ | (exception Not_int) -> Error bad_count
+    else Error bad
+
+  let parse_line t =
+    if t.ntok = 0 then None (* empty line: ignore, keep reading *)
+    else
+      match verb_from t 0 with
+      | "get" -> Some (parse_keys t ~no_keys:"bad get: no keys" (fun keys -> Get keys))
+      | "gets" -> Some (parse_keys t ~no_keys:"bad gets: no keys" (fun keys -> Gets keys))
+      | ("set" | "add" | "replace" | "append" | "prepend" | "cas") as verb -> (
+          match parse_storage_line t verb with
+          | Ok pending ->
+              t.state <- Await_data pending;
+              None
+          | Error e -> Some (Error e))
+      | "delete" ->
+          Some
+            (if t.ntok >= 2 && key_ok t 1 then
+               match tail t 2 with
+               | `Plain -> Ok (Delete { key = tok t 1; noreply = false })
+               | `Noreply -> Ok (Delete { key = tok t 1; noreply = true })
+               | `Other -> Error "bad delete"
+             else Error "bad delete")
+      | "incr" ->
+          Some
+            (key_int_noreply t ~bad:"bad incr" ~bad_int:"invalid numeric delta argument"
+               ~valid:(fun d -> d >= 0)
+               (fun key delta noreply -> Incr { key; delta; noreply }))
+      | "decr" ->
+          Some
+            (key_int_noreply t ~bad:"bad decr" ~bad_int:"invalid numeric delta argument"
+               ~valid:(fun d -> d >= 0)
+               (fun key delta noreply -> Decr { key; delta; noreply }))
+      | "touch" ->
+          Some
+            (key_int_noreply t ~bad:"bad touch" ~bad_int:"bad touch"
+               ~valid:(fun _ -> true)
+               (fun key exptime noreply -> Touch { key; exptime; noreply }))
+      | "stats" -> (
+          match t.ntok with
+          | 1 -> Some (Ok (Stats None))
+          | 2 -> Some (Ok (Stats (Some (tok t 1))))
+          | _ -> Some (Error "bad stats"))
+      | "trace" ->
+          Some
+            (dump_request t ~bad:"bad trace" ~bad_count:"bad trace dump count" (fun n ->
+                 Trace_dump n))
+      | "heat" ->
+          Some
+            (dump_request t ~bad:"bad heat" ~bad_count:"bad heat dump count" (fun n ->
+                 Heat_dump n))
+      | "cluster" ->
+          if t.ntok = 2 && tok_is t 1 "promote" then Some (Ok Cluster_promote)
+          else Some (Error "bad cluster")
+      | "flush_all" -> (
+          match tail t 1 with
+          | `Plain -> Some (Ok (Flush_all { noreply = false }))
+          | `Noreply -> Some (Ok (Flush_all { noreply = true }))
+          | `Other -> Some (Error "bad flush_all"))
+      | "version" -> Some (Ok Version)
+      | "quit" -> Some (Ok Quit)
+      | _ -> Some (Error "ERROR")
 
   let rec next t =
     match t.state with
-    | Await_line -> (
-        match Inbuf.take_line t.inbuf with
-        | None ->
-            (* No CRLF in the buffer. If the partial line has already
-               outgrown the bound, report once and start discarding, so a
-               client streaming an endless line cannot balloon the buffer. *)
-            if Inbuf.available t.inbuf > t.max_line then begin
-              t.state <- Discard_line;
-              ignore (Inbuf.discard_line t.inbuf);
-              Some (Error "line too long")
-            end
-            else None
-        | Some line ->
-            if String.length line > t.max_line then Some (Error "line too long")
-            else (
-              match parse_line t line with
-              | Some result -> Some result
-              | None -> next t (* storage header consumed; try for the data *)))
+    | Await_line ->
+        let ib = t.inbuf in
+        let eol = Inbuf.line_end ib in
+        if eol < 0 then
+          (* No CRLF in the buffer. If the partial line has already
+             outgrown the bound, report once and start discarding, so a
+             client streaming an endless line cannot balloon the buffer. *)
+          if Inbuf.available ib > t.max_line then begin
+            t.state <- Discard_line;
+            ignore (Inbuf.discard_line ib);
+            Some (Error "line too long")
+          end
+          else None
+        else begin
+          let start = ib.pos in
+          ib.pos <- eol + 2;
+          if eol - start > t.max_line then Some (Error "line too long")
+          else begin
+            tokenize t ib.data start eol;
+            match parse_line t with
+            | Some _ as result -> result
+            | None -> next t (* storage header consumed; try for the data *)
+          end
+        end
     | Discard_line ->
         (* Resynchronise at the next CRLF, dropping everything before it. *)
         if Inbuf.discard_line t.inbuf then begin
@@ -430,6 +554,11 @@ module Parser = struct
             t.state <- Await_line;
             if not terminated then Some (Error "bad data chunk")
             else Some (finish_storage pending data))
+
+  let tokens line =
+    let t = create () in
+    tokenize t line 0 (String.length line);
+    List.init t.ntok (tok t)
 end
 
 (* --- response parser (client side) --- *)

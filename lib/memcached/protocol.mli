@@ -96,6 +96,11 @@ module Parser : sig
   (** [None] means more bytes are needed. *)
 
   val buffered_bytes : t -> int
+
+  val tokens : string -> string list
+  (** The space-separated non-empty tokens of a command line, as {!next}
+      reads them; exposed so tests can compare the in-place tokenizer
+      with [String.split_on_char ' '] minus empty strings. *)
 end
 
 (** Incremental response parser (client side). *)

@@ -367,6 +367,132 @@ let fuzz_tests =
       prop_split_invariance;
     ]
 
+(* --- differential: the in-place codec against list-building references --- *)
+
+(* The tokenizer the parser ran before it parsed in place, kept as the
+   oracle. *)
+let oracle_tokens line = String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
+
+let diff_max_line = 48
+
+(* Command lines built from pieces that hit the tokenizer's edges: runs
+   of spaces, leading and trailing spaces, tabs inside tokens, numbers
+   the fast path must hand back to [int_of_string]; a third are padded to
+   exactly [diff_max_line] bytes and a third to one byte past it. *)
+let gen_line =
+  let open QCheck.Gen in
+  let piece =
+    oneofl
+      [ " "; "  "; "   "; "\t"; "get"; "gets"; "set"; "cas"; "delete"; "incr";
+        "touch"; "stats"; "trace"; "dump"; "flush_all"; "noreply"; "k";
+        "key:00000001"; "k\tx"; "0"; "-7"; "12"; "+3"; "0x1f"; "-";
+        "99999999999999999999"; "123456789012345678" ]
+  in
+  let* pieces = list_size (int_range 0 12) piece in
+  let line = String.concat "" pieces in
+  let* pad = oneofl [ None; Some diff_max_line; Some (diff_max_line + 1) ] in
+  let* fill = oneofl [ ' '; 'x' ] in
+  return
+    (match pad with
+    | Some n when String.length line < n ->
+        line ^ String.make (n - String.length line) fill
+    | _ -> line)
+
+(* The tokenizer splits as the oracle does, and a line parses as its
+   oracle tokens joined by single spaces would (or is too long). *)
+let prop_tokens_match_oracle =
+  QCheck.Test.make ~name:"in-place tokenizer matches split_on_char" ~count:2000
+    (QCheck.make ~print:String.escaped gen_line)
+    (fun line ->
+      let parse l =
+        let p = Protocol.Parser.create ~max_line:diff_max_line () in
+        Protocol.Parser.feed p (l ^ "\r\n");
+        Protocol.Parser.next p
+      in
+      let tokens = oracle_tokens line in
+      Protocol.Parser.tokens line = tokens
+      && parse line
+         =
+         if String.length line > diff_max_line then Some (Error "line too long")
+         else parse (String.concat " " tokens))
+
+let reference_values values =
+  String.concat ""
+    (List.map
+       (fun { Protocol.vkey; vflags; vdata; vcas } ->
+         Printf.sprintf "VALUE %s %d %d%s\r\n%s\r\n" vkey vflags (String.length vdata)
+           (match vcas with None -> "" | Some c -> Printf.sprintf " %d" c)
+           vdata)
+       values)
+  ^ "END\r\n"
+
+let gen_values =
+  let open QCheck.Gen in
+  let edge_int = oneof [ int; int_range (-1000) 1000; oneofl [ 0; -1; max_int; min_int ] ] in
+  let value =
+    map4
+      (fun vkey vflags vdata vcas -> { Protocol.vkey; vflags; vdata; vcas })
+      (string_size ~gen:(char_range 'a' 'z') (int_range 1 20))
+      edge_int
+      (string_size (int_bound 40))
+      (opt edge_int)
+  in
+  pair (list_size (int_range 0 6) value) edge_int
+
+(* Integers written straight into the buffer read exactly as Printf's. *)
+let prop_encode_matches_printf =
+  QCheck.Test.make ~name:"VALUE and number encoding match Printf" ~count:1000
+    (QCheck.make gen_values)
+    (fun (values, n) ->
+      let buf = Buffer.create 16 in
+      Protocol.encode_response_into buf (Protocol.Values values);
+      Buffer.contents buf = reference_values values
+      && Protocol.encode_response (Protocol.Number n) = Printf.sprintf "%d\r\n" n)
+
+(* --- allocation budget --- *)
+
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  let w1 = Gc.minor_words () in
+  let e0 = Gc.minor_words () in
+  let e1 = Gc.minor_words () in
+  (* subtract what reading the counter itself allocates *)
+  (w1 -. w0) -. (e1 -. e0)
+
+(* Exact minor words. The parse allocates only what the request holds:
+   the key string (3 words), its list cell (3), [Get] (2), [Ok] (2) and
+   [Some] (2). Before the parser tokenized in place and the encoder wrote
+   integers straight into the buffer, the same calls measured 45 (parse)
+   and 8 (encode) words. *)
+let parse_word_budget = 12.
+let encode_word_budget = 0.
+
+let test_allocation_budget () =
+  let p = Protocol.Parser.create () in
+  Protocol.Parser.feed p
+    (String.concat "" (List.init 4 (fun _ -> "get key:00000001\r\n")));
+  ignore (Protocol.Parser.next p);
+  let parsed = ref None in
+  let parse = minor_words_of (fun () -> parsed := Protocol.Parser.next p) in
+  Alcotest.(check bool) "parsed the GET" true
+    (!parsed = Some (Ok (Protocol.Get [ "key:00000001" ])));
+  let buf = Buffer.create 4096 in
+  let response =
+    Protocol.Values
+      [ { vkey = "key:00000001"; vflags = 0; vdata = String.make 64 'v'; vcas = None } ]
+  in
+  Protocol.encode_response_into buf response;
+  Buffer.clear buf;
+  let encode = minor_words_of (fun () -> Protocol.encode_response_into buf response) in
+  Printf.printf "Parser.next GET %.0f words, encode Values [v] %.0f words\n%!" parse
+    encode;
+  if parse > parse_word_budget then
+    Alcotest.failf "GET parse allocated %.0f words (budget %.0f)" parse parse_word_budget;
+  if encode > encode_word_budget then
+    Alcotest.failf "VALUE encode allocated %.0f words (budget %.0f)" encode
+      encode_word_budget
+
 (* --- bounded line buffering --- *)
 
 let test_oversized_line_rejected () =
@@ -484,4 +610,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_values_roundtrip;
         ] );
       ("fuzz", fuzz_tests);
+      ( "differential",
+        [
+          QCheck_alcotest.to_alcotest prop_tokens_match_oracle;
+          QCheck_alcotest.to_alcotest prop_encode_matches_printf;
+        ] );
+      ( "allocation",
+        [ Alcotest.test_case "parse and encode word budget" `Quick test_allocation_budget ] );
     ]

@@ -537,6 +537,38 @@ let hardening_cases plane =
     tc "stop drains" test_stop_drains_connections;
   ]
 
+(* A wakeup reads until a read comes back short of what it asked for:
+   one read(2) for a request smaller than the buffer, not a second one
+   that fails with EAGAIN. A read a failpoint capped asks only for the
+   cap, so a read that fills the cap keeps draining. *)
+let test_one_read_per_readiness () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () ->
+      Rp_fault.reset ();
+      Unix.close a;
+      Unix.close b)
+  @@ fun () ->
+  Unix.set_nonblock a;
+  let store = make_store () in
+  let conn =
+    Conn.create ~id:0 ~buffer_size:4096 ~reads:(Rp_obs.Counter.create ())
+      ~writes:(Rp_obs.Counter.create ()) a
+  in
+  let site = "server.read.split" in
+  let send s = ignore (Unix.write_substring b s 0 (String.length s)) in
+  (* Armed on a trigger that never fires, the site only counts reads. *)
+  Rp_fault.arm site ~trigger:(Rp_fault.Probability 0.0) ~action:(Rp_fault.Truncate_io 4);
+  send "get k\r\n";
+  Alcotest.(check bool) "not eof" true (Conn.fill conn = `Ok);
+  Alcotest.(check int) "one read" 1 (Rp_fault.hits site);
+  Alcotest.(check int) "request buffered" 1 (Conn.dispatch conn store);
+  (* 21 bytes through a 4-byte cap: five full reads, then a short one. *)
+  Rp_fault.arm site ~trigger:Rp_fault.Always ~action:(Rp_fault.Truncate_io 4);
+  send "get k\r\nget k\r\nget k\r\n";
+  Alcotest.(check bool) "not eof (capped)" true (Conn.fill conn = `Ok);
+  Alcotest.(check int) "capped reads" 6 (Rp_fault.hits site);
+  Alcotest.(check int) "all requests buffered" 3 (Conn.dispatch conn store)
+
 let () =
   Alcotest.run "server"
     [
@@ -557,5 +589,7 @@ let () =
         [
           Alcotest.test_case "multi-worker response routing" `Quick
             test_multiworker_routing;
+          Alcotest.test_case "one read per readiness" `Quick
+            test_one_read_per_readiness;
         ] );
     ]
