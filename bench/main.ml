@@ -1,18 +1,9 @@
-(* Benchmark entry point.
+(* Bechamel micro-benchmarks: per-operation latencies of every table
+   implementation and of the RCU primitives (one Test.make per
+   operation, grouped per concern). The paper's figures come from
+   bin/rp_bench.exe, end-to-end numbers from perfbench/run.py.
 
-   Part 1 — bechamel micro-benchmarks: per-operation latencies of every
-   table implementation and of the RCU primitives (one Test.make per
-   operation, grouped per concern).
-
-   Part 2 — the paper's figures: each prints measured (this host) and
-   cost-model-projected (16-way) series; see lib/figures.
-
-   Part 3 — --smoke: a sub-second burst over the rp table and the
-   memcached store that dumps their Rp_obs registry snapshots into
-   BENCH_smoke.json (the @bench-smoke alias, wired into @runtest), so
-   every test run leaves a machine-readable metrics report behind.
-
-   Usage: main.exe [--quick] [--micro-only | --figures-only | --smoke] *)
+   Usage: main.exe [--quick] *)
 
 open Bechamel
 open Toolkit
@@ -237,1035 +228,6 @@ let run_micro ~quota =
       print_newline ())
     all_micro_tests
 
-(* --- smoke run: exercise the stack briefly, leave a metrics report --- *)
-
-let smoke_keys = 8192
-
-let run_smoke () =
-  let started = Unix.gettimeofday () in
-  (* Table burst: fill, resize both ways, look everything up, drain half. *)
-  let reg = Rp_obs.Registry.create () in
-  let table =
-    Rp_ht.create ~initial_size:64 ~auto_resize:false
-      ~hash:Rp_hashes.Hashfn.of_int ~equal:Int.equal ()
-  in
-  Rp_ht.observe table reg;
-  Rcu.observe (Rp_ht.rcu table) reg;
-  for i = 0 to smoke_keys - 1 do
-    Rp_ht.insert table i i
-  done;
-  Rp_ht.resize table 1024;
-  Rp_ht.resize table 64;
-  let hits = ref 0 in
-  for i = 0 to smoke_keys - 1 do
-    if Rp_ht.find table i <> None then incr hits
-  done;
-  for i = 0 to (smoke_keys / 2) - 1 do
-    ignore (Rp_ht.remove table i)
-  done;
-  Rcu.synchronize (Rp_ht.rcu table);
-  (* Store burst: sets, hits, misses, deletes through the memcached path. *)
-  let store = Memcached.Store.create ~backend:Memcached.Store.Rp () in
-  for i = 0 to 255 do
-    ignore
-      (Memcached.Store.set store
-         ~key:(Printf.sprintf "key:%04d" i)
-         ~flags:0 ~exptime:0 ~data:(String.make 64 'x'))
-  done;
-  for i = 0 to 511 do
-    ignore (Memcached.Store.get store (Printf.sprintf "key:%04d" i))
-  done;
-  for i = 0 to 63 do
-    ignore (Memcached.Store.delete store (Printf.sprintf "key:%04d" i))
-  done;
-  let elapsed = Unix.gettimeofday () -. started in
-  let oc = open_out "BENCH_smoke.json" in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"smoke\",\n  \"elapsed\": %.3f,\n  \
-     \"lookup_hits\": %d,\n  \"trace_events\": %d,\n  \"table\": %s,\n  \
-     \"store\": %s\n}\n"
-    elapsed !hits
-    (Rp_trace.spans_recorded ())
-    (Rp_obs.Registry.to_json reg)
-    (Rp_obs.Registry.to_json (Memcached.Store.registry store));
-  close_out oc;
-  Printf.printf "smoke: %d/%d lookups hit, %.0f ms, report in BENCH_smoke.json\n"
-    !hits smoke_keys (elapsed *. 1e3);
-  if !hits <> smoke_keys then exit 1
-
-(* --- persistence smoke: snapshot/replay throughput, GET tail impact --- *)
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
-
-(* Per-op GET latency sampled in batches (gettimeofday is microsecond
-   resolution; a single rp GET is well below that), p99 over samples. *)
-let get_p99_ns store ~keyspace ~samples ~batch ~until =
-  let lat = Array.make samples 0.0 in
-  let k = ref 0 in
-  let i = ref 0 in
-  let min_done = ref false in
-  while (not !min_done) || not (until ()) do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to batch do
-      k := (!k + 1) mod keyspace;
-      ignore (Memcached.Store.get store (Printf.sprintf "key:%06d" !k))
-    done;
-    let t1 = Unix.gettimeofday () in
-    lat.(!i mod samples) <- (t1 -. t0) /. float_of_int batch *. 1e9;
-    incr i;
-    if !i >= samples then min_done := true
-  done;
-  let n = min !i samples in
-  let sorted = Array.sub lat 0 n in
-  Array.sort compare sorted;
-  sorted.(min (n - 1) (int_of_float (0.99 *. float_of_int n)))
-
-let run_persist_bench () =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rp-bench-persist-%d" (Unix.getpid ()))
-  in
-  rm_rf dir;
-  let items = 16_384 and value_size = 256 in
-  let store =
-    Memcached.Store.create ~backend:Memcached.Store.Rp ~initial_size:4096 ()
-  in
-  let p =
-    Memcached.Persist.attach ~aof:true ~fsync:Rp_persist.Oplog.Never ~dir store
-  in
-  for i = 0 to items - 1 do
-    ignore
-      (Memcached.Store.set store
-         ~key:(Printf.sprintf "key:%06d" i)
-         ~flags:0 ~exptime:0 ~data:(String.make value_size 'x'))
-  done;
-  (* Baseline GET tail, nothing running in the background. *)
-  let p99_off =
-    get_p99_ns store ~keyspace:items ~samples:400 ~batch:64 ~until:(fun () -> true)
-  in
-  (* Snapshot throughput: one full walk streamed to disk. *)
-  let t0 = Unix.gettimeofday () in
-  let snap_records =
-    match Memcached.Persist.snapshot_now p with
-    | Ok n -> n
-    | Error e ->
-        Printf.printf "persist bench: snapshot failed: %s\n" e;
-        exit 1
-  in
-  let snap_elapsed = Unix.gettimeofday () -. t0 in
-  let snap_bytes =
-    match List.rev (Rp_persist.Snapshot.files ~dir) with
-    | (_, path) :: _ -> (Unix.stat path).Unix.st_size
-    | [] -> 0
-  in
-  (* GET tail again, now with the snapshot walk (a relativistic reader on
-     its own domain) racing the measurement loop. *)
-  let snap_done = Atomic.make false in
-  let snapper =
-    Thread.create
-      (fun () ->
-        ignore (Memcached.Persist.snapshot_now p);
-        Atomic.set snap_done true)
-      ()
-  in
-  let p99_on =
-    get_p99_ns store ~keyspace:items ~samples:400 ~batch:64 ~until:(fun () ->
-        Atomic.get snap_done)
-  in
-  Thread.join snapper;
-  let gp_p99_ns =
-    match
-      List.assoc_opt "rcu_grace_period_ns_p99"
-        (Rp_obs.Registry.to_stats (Memcached.Store.registry store))
-    with
-    | Some v -> int_of_string v
-    | None -> 0
-  in
-  Memcached.Persist.stop p;
-  (* Warm restart: recovery (snapshot stream + log replay) into a fresh
-     store, timed end to end. *)
-  let t0 = Unix.gettimeofday () in
-  let store2 =
-    Memcached.Store.create ~backend:Memcached.Store.Rp ~initial_size:4096 ()
-  in
-  let p2 = Memcached.Persist.attach ~aof:false ~dir store2 in
-  let replay_elapsed = Unix.gettimeofday () -. t0 in
-  let r = Memcached.Persist.recovery p2 in
-  let replayed = r.Memcached.Persist.snapshot_records + r.Memcached.Persist.log_records in
-  let recovered_items = Memcached.Store.items store2 in
-  Memcached.Persist.stop p2;
-  rm_rf dir;
-  let snapshot_mb_s = float_of_int snap_bytes /. 1e6 /. snap_elapsed in
-  let replay_ops_s = float_of_int replayed /. replay_elapsed in
-  let oc = open_out "BENCH_persist.json" in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"persist\",\n  \"items\": %d,\n  \
-     \"value_size\": %d,\n  \"snapshot_records\": %d,\n  \
-     \"snapshot_bytes\": %d,\n  \"snapshot_elapsed\": %.4f,\n  \
-     \"snapshot_mb_per_s\": %.1f,\n  \"replay_records\": %d,\n  \
-     \"replay_elapsed\": %.4f,\n  \"replay_ops_per_s\": %.0f,\n  \
-     \"get_p99_ns_snapshot_off\": %.0f,\n  \
-     \"get_p99_ns_snapshot_on\": %.0f,\n  \
-     \"rcu_grace_period_ns_p99\": %d\n}\n"
-    items value_size snap_records snap_bytes snap_elapsed snapshot_mb_s
-    replayed replay_elapsed replay_ops_s p99_off p99_on gp_p99_ns;
-  close_out oc;
-  Printf.printf
-    "persist: snapshot %.1f MB/s, replay %.0f ops/s, GET p99 %.0f -> %.0f ns \
-     under snapshot, report in BENCH_persist.json\n"
-    snapshot_mb_s replay_ops_s p99_off p99_on;
-  (* Gate: the warm restart must reproduce the dataset. *)
-  if recovered_items <> items then begin
-    Printf.printf "persist bench: recovered %d/%d items\n" recovered_items items;
-    exit 1
-  end
-
-(* --- writer scaling: 50/50 GET/SET mix at 1/2/4/8 writer domains ---
-
-   The multi-writer proof for the striped store: each writer domain runs
-   a 50/50 GET/SET [Opmix] (GETs over a shared prefilled keyspace, SETs
-   into a per-writer range), counting SET throughput per writer count.
-   A quiet single-threaded GET p99 is taken first on an identical store
-   as the read-path no-regression guard — the stripes must cost readers
-   nothing. The >= 2x-at-4-writers criterion is enforced here only when
-   the host actually has >= 4 cores (a single-core box time-slices the
-   domains and can show no parallel speedup); the absolute SET rates and
-   the GET p99 are gated against the committed baseline by trend_gate
-   either way. *)
-
-let run_writer_bench () =
-  let keyspace = 4096 and value_size = 64 in
-  let duration = 0.15 in
-  let data = String.make value_size 'x' in
-  let prefill store =
-    for i = 0 to keyspace - 1 do
-      ignore
-        (Memcached.Store.set store
-           ~key:(Printf.sprintf "key:%06d" i)
-           ~flags:0 ~exptime:0 ~data)
-    done
-  in
-  let p99_store =
-    Memcached.Store.create ~backend:Memcached.Store.Rp ~initial_size:4096 ()
-  in
-  prefill p99_store;
-  let get_p99 =
-    get_p99_ns p99_store ~keyspace ~samples:400 ~batch:64 ~until:(fun () -> true)
-  in
-  let bench writers =
-    let store =
-      Memcached.Store.create ~backend:Memcached.Store.Rp ~initial_size:4096 ()
-    in
-    prefill store;
-    let stop = Atomic.make false in
-    let worker w () =
-      let mix =
-        Rp_workload.Opmix.create ~update_ratio:0.5 ~remove_share:0.0 ~seed:42
-          ~worker:w ()
-      in
-      let prng = Rp_workload.Prng.split (Rp_workload.Prng.create ~seed:7) w in
-      let sets = ref 0 and gets = ref 0 and errs = ref 0 and misses = ref 0 in
-      while not (Atomic.get stop) do
-        let k = Rp_workload.Prng.below prng keyspace in
-        match Rp_workload.Opmix.next mix with
-        | Rp_workload.Opmix.Lookup ->
-            (match Memcached.Store.get store (Printf.sprintf "key:%06d" k) with
-            | Some _ -> ()
-            | None -> incr misses);
-            incr gets
-        | Rp_workload.Opmix.Insert | Rp_workload.Opmix.Remove ->
-            (match
-               Memcached.Store.set store
-                 ~key:(Printf.sprintf "w%d:%06d" w k)
-                 ~flags:0 ~exptime:0 ~data
-             with
-            | Memcached.Store.Stored -> ()
-            | _ -> incr errs);
-            incr sets
-      done;
-      (!sets, !gets, !errs, !misses)
-    in
-    let t0 = Unix.gettimeofday () in
-    let domains = Array.init writers (fun w -> Domain.spawn (worker w)) in
-    Unix.sleepf duration;
-    Atomic.set stop true;
-    let results = Array.map Domain.join domains in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    let sets = Array.fold_left (fun a (s, _, _, _) -> a + s) 0 results in
-    let gets = Array.fold_left (fun a (_, g, _, _) -> a + g) 0 results in
-    let errs = Array.fold_left (fun a (_, _, e, _) -> a + e) 0 results in
-    let misses = Array.fold_left (fun a (_, _, _, m) -> a + m) 0 results in
-    (writers, sets, gets, errs, misses, elapsed)
-  in
-  let runs = List.map bench [ 1; 2; 4; 8 ] in
-  let set_rate w =
-    match List.find_opt (fun (n, _, _, _, _, _) -> n = w) runs with
-    | Some (_, sets, _, _, _, elapsed) -> float_of_int sets /. elapsed
-    | None -> 0.
-  in
-  let scaling_w4 = if set_rate 1 > 0. then set_rate 4 /. set_rate 1 else 0. in
-  let cores = Domain.recommended_domain_count () in
-  let errors = List.fold_left (fun a (_, _, _, e, _, _) -> a + e) 0 runs in
-  let misses = List.fold_left (fun a (_, _, _, _, m, _) -> a + m) 0 runs in
-  let oc = open_out "BENCH_writer.json" in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"writer-scaling\",\n  \"keyspace\": %d,\n  \
-     \"value_size\": %d,\n  \"available_cores\": %d,\n  \
-     \"get_p99_ns\": %.0f,\n  \"scaling_w4\": %.2f,\n  \"errors\": %d,\n  \
-     \"misses\": %d,\n  \"runs\": [\n"
-    keyspace value_size cores get_p99 scaling_w4 errors misses;
-  List.iteri
-    (fun i (w, sets, gets, _, _, elapsed) ->
-      Printf.fprintf oc
-        "    {\"label\": \"w%d\", \"writers\": %d, \"set_ops\": %d, \
-         \"get_ops\": %d, \"elapsed\": %.3f, \"set_ops_s\": %.0f}%s\n"
-        w w sets gets elapsed
-        (float_of_int sets /. elapsed)
-        (if i = List.length runs - 1 then "" else ","))
-    runs;
-  output_string oc "  ]\n}\n";
-  close_out oc;
-  List.iter
-    (fun (w, sets, gets, _, _, elapsed) ->
-      Printf.printf "writer w%d  %8.0f SET ops/s (%d sets, %d gets)\n" w
-        (float_of_int sets /. elapsed)
-        sets gets)
-    runs;
-  Printf.printf
-    "writer scaling: w4/w1 = %.2fx on %d core(s), GET p99 %.0f ns, report \
-     in BENCH_writer.json\n"
-    scaling_w4 cores get_p99;
-  (* Gates: the mix must run clean everywhere; the 2x-at-4-writers bar
-     applies where the hardware can express parallelism at all. *)
-  if errors > 0 || misses > 0 then begin
-    Printf.printf "writer bench: %d errors, %d misses\n" errors misses;
-    exit 1
-  end;
-  if List.exists (fun (_, sets, _, _, _, _) -> sets = 0) runs then begin
-    Printf.printf "writer bench: a run made no SET progress\n";
-    exit 1
-  end;
-  if cores >= 4 && scaling_w4 < 2.0 then begin
-    Printf.printf "writer bench: scaling %.2fx at 4 writers < 2x\n" scaling_w4;
-    exit 1
-  end
-
-(* --- server smoke: pipelined GETs over the wire, 1/2/4 event-loop workers --- *)
-
-let run_server_bench () =
-  let keyspace = 1024 and value_size = 64 in
-  let duration = 0.15 and pipeline = 32 and connections = 2 in
-  let bench label workers =
-    let store =
-      Memcached.Store.create ~backend:Memcached.Store.Rp
-        ~rcu_mode:Memcached.Store.Qsbr ~initial_size:4096 ()
-    in
-    let path =
-      Printf.sprintf "/tmp/rp-bench-server-%d-%s.sock" (Unix.getpid ()) label
-    in
-    let config = { Memcached.Server.default_config with workers } in
-    let server =
-      Memcached.Server.start ~store ~config
-        (Memcached.Server.Unix_socket path)
-    in
-    Fun.protect
-      ~finally:(fun () -> Memcached.Server.stop server)
-      (fun () ->
-        let addr = Memcached.Server.address server in
-        Memcached.Mc_benchmark.socket_prefill addr ~keyspace ~value_size;
-        let r =
-          Memcached.Mc_benchmark.run_socket addr
-            {
-              Memcached.Mc_benchmark.connections;
-              pipeline;
-              sduration = duration;
-              skeyspace = keyspace;
-              svalue_size = value_size;
-              sseed = 42;
-              sdist = Rp_workload.Keygen.Uniform;
-            }
-        in
-        (label, Memcached.Server.workers server, r))
-  in
-  let runs =
-    [
-      bench "event-loop-w1" 1;
-      bench "event-loop-w2" 2;
-      bench "event-loop-w4" 4;
-    ]
-  in
-  let oc = open_out "BENCH_server.json" in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"server-pipelined-get\",\n  \"pipeline\": %d,\n  \
-     \"connections\": %d,\n  \"keyspace\": %d,\n  \"value_size\": %d,\n  \
-     \"runs\": [\n"
-    pipeline connections keyspace value_size;
-  List.iteri
-    (fun i (label, workers, (r : Memcached.Mc_benchmark.result)) ->
-      Printf.fprintf oc
-        "    {\"label\": \"%s\", \"workers\": %d, \"requests\": %d, \
-         \"elapsed\": %.3f, \"rps\": %.0f, \"hits\": %d, \"misses\": %d}%s\n"
-        label workers r.requests r.elapsed r.requests_per_second r.hits
-        r.misses
-        (if i = List.length runs - 1 then "" else ","))
-    runs;
-  output_string oc "  ]\n}\n";
-  close_out oc;
-  List.iter
-    (fun (label, _, (r : Memcached.Mc_benchmark.result)) ->
-      Printf.printf "server %-14s %8.0f req/s (%d reqs, %d misses)\n" label
-        r.requests_per_second r.requests r.misses)
-    runs;
-  print_endline "server bench report in BENCH_server.json";
-  (* Gate: every pipelined GET must round-trip and hit. *)
-  if
-    List.exists
-      (fun (_, _, (r : Memcached.Mc_benchmark.result)) ->
-        r.requests = 0 || r.misses > 0)
-      runs
-  then exit 1
-
-(* --- guard smoke: GET service level and recovery time under full shed --- *)
-
-let run_guard_bench () =
-  let keyspace = 1024 and value_size = 64 in
-  let store =
-    Memcached.Store.create ~backend:Memcached.Store.Rp ~initial_size:4096 ()
-  in
-  let guard = Memcached.Guard.install ~interval:0.005 store in
-  (* The storm is simulated at the pressure layer: a bench-driven source
-     pins the ladder wherever the measurement needs it, so the numbers
-     isolate the guard's cost rather than a load generator's. *)
-  let pressure = ref 0.0 in
-  Rp_guard.add_source guard ~name:"bench" (fun () -> !pressure);
-  let path = Printf.sprintf "/tmp/rp-bench-guard-%d.sock" (Unix.getpid ()) in
-  let server =
-    Memcached.Server.start ~store (Memcached.Server.Unix_socket path)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Rp_guard.stop guard;
-      Memcached.Server.stop server)
-    (fun () ->
-      let addr = Memcached.Server.address server in
-      Memcached.Mc_benchmark.socket_prefill addr ~keyspace ~value_size;
-      Rp_guard.start guard;
-      let await st deadline =
-        let t0 = Unix.gettimeofday () in
-        let rec poll () =
-          if Rp_guard.state guard = st then true
-          else if Unix.gettimeofday () -. t0 > deadline then false
-          else begin
-            Thread.yield ();
-            poll ()
-          end
-        in
-        poll ()
-      in
-      pressure := 0.90;
-      if not (await Rp_guard.Shed 2.0) then begin
-        Printf.printf "guard bench: ladder never reached Shed\n";
-        exit 1
-      end;
-      (* Mutations at full shed: every one must come back as an
-         overloaded fast-fail, not an ack and not a hang. *)
-      let c = Memcached.Client.connect addr in
-      let sheds = ref 0 in
-      for i = 0 to 255 do
-        match
-          Memcached.Client.try_set c
-            ~key:(Printf.sprintf "shed:%d" i)
-            ~data:"x" ()
-        with
-        | `Overloaded _ -> incr sheds
-        | `Stored | `Not_stored -> ()
-      done;
-      Memcached.Client.close c;
-      (* The service level that matters under overload: pipelined GETs
-         while the guard sheds everything else. *)
-      let r =
-        Memcached.Mc_benchmark.run_socket addr
-          {
-            Memcached.Mc_benchmark.connections = 2;
-            pipeline = 32;
-            sduration = 0.15;
-            skeyspace = keyspace;
-            svalue_size = value_size;
-            sseed = 42;
-            sdist = Rp_workload.Keygen.Uniform;
-          }
-      in
-      (* Time-to-recover: pressure vanishes; how long until Healthy. *)
-      let t0 = Unix.gettimeofday () in
-      pressure := 0.0;
-      let recovered = await Rp_guard.Healthy 2.0 in
-      let recover_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-      if not recovered then begin
-        Printf.printf "guard bench: ladder never recovered to Healthy\n";
-        exit 1
-      end;
-      let oc = open_out "BENCH_guard.json" in
-      Printf.fprintf oc
-        "{\n  \"benchmark\": \"guard\",\n  \"keyspace\": %d,\n  \
-         \"value_size\": %d,\n  \"shed_get_rps\": %.0f,\n  \
-         \"get_requests\": %d,\n  \"get_misses\": %d,\n  \
-         \"shed_total\": %d,\n  \"shed_attempts\": 256,\n  \
-         \"recover_ms\": %.2f,\n  \"transitions\": %d\n}\n"
-        keyspace value_size r.Memcached.Mc_benchmark.requests_per_second
-        r.Memcached.Mc_benchmark.requests r.Memcached.Mc_benchmark.misses
-        (Rp_guard.shed_total guard)
-        recover_ms (Rp_guard.transitions guard);
-      close_out oc;
-      Printf.printf
-        "guard: %8.0f GET req/s at full shed (%d reqs, %d misses), %d/256 \
-         sets shed, recovered in %.1f ms, report in BENCH_guard.json\n"
-        r.Memcached.Mc_benchmark.requests_per_second
-        r.Memcached.Mc_benchmark.requests r.Memcached.Mc_benchmark.misses
-        !sheds recover_ms;
-      (* Gate: shedding must actually have happened, and GETs survived. *)
-      if !sheds = 0 || r.Memcached.Mc_benchmark.misses > 0 then exit 1)
-
-(* --- cluster smoke: replication catch-up rate and live apply lag --- *)
-
-let run_cluster_bench () =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rp-bench-cluster-%d" (Unix.getpid ()))
-  in
-  rm_rf dir;
-  let catchup_records = 20_000 and live_records = 4_000 and value_size = 128 in
-  let data = String.make value_size 'x' in
-  let fresh_store () =
-    Memcached.Store.create ~backend:Memcached.Store.Rp ~initial_size:4096 ()
-  in
-  let leader = fresh_store () in
-  let p =
-    Memcached.Persist.attach ~aof:true ~fsync:Rp_persist.Oplog.Never ~dir
-      leader
-  in
-  (* The backlog the follower must replay: written (and logged) before
-     the follower exists, so its delivery is pure op-log catch-up. *)
-  for i = 0 to catchup_records - 1 do
-    ignore
-      (Memcached.Store.set leader
-         ~key:(Printf.sprintf "key:%06d" i)
-         ~flags:0 ~exptime:0 ~data)
-  done;
-  let cl =
-    Memcached.Cluster.lead ~store:leader ~persist:p
-      (Unix.ADDR_INET (Unix.inet_addr_loopback, 0))
-  in
-  let follower = fresh_store () in
-  let t0 = Unix.gettimeofday () in
-  let cf =
-    Memcached.Cluster.follow ~store:follower
-      ~leader:
-        (Unix.ADDR_INET
-           (Unix.inet_addr_loopback, Memcached.Cluster.repl_port cl))
-      ()
-  in
-  (* Stream order is log order, so once a phase's last key is visible the
-     whole phase has been applied. *)
-  let await key deadline =
-    let t = Unix.gettimeofday () in
-    let rec poll () =
-      if Memcached.Store.get follower key <> None then true
-      else if Unix.gettimeofday () -. t > deadline then false
-      else begin
-        Thread.yield ();
-        poll ()
-      end
-    in
-    poll ()
-  in
-  if not (await (Printf.sprintf "key:%06d" (catchup_records - 1)) 30.0)
-  then begin
-    Printf.printf "cluster bench: follower never caught up\n";
-    exit 1
-  end;
-  let catchup_s = Unix.gettimeofday () -. t0 in
-  let catchup_ops_per_s = float_of_int catchup_records /. catchup_s in
-  (* Live phase: records published through the tap carry their send
-     timestamp, and the follower's apply-lag histogram measures
-     publish -> apply. *)
-  for i = 0 to live_records - 1 do
-    ignore
-      (Memcached.Store.set leader
-         ~key:(Printf.sprintf "live:%06d" i)
-         ~flags:0 ~exptime:0 ~data)
-  done;
-  if not (await (Printf.sprintf "live:%06d" (live_records - 1)) 30.0)
-  then begin
-    Printf.printf "cluster bench: live stream never drained\n";
-    exit 1
-  end;
-  let stats = Option.get (Memcached.Store.section follower "cluster") in
-  let stat name =
-    match List.assoc_opt name stats with Some v -> v | None -> "0"
-  in
-  (* The replica oracle: every record the leader acked must be readable
-     on the follower (gated Exact_zero by the trend lane). *)
-  let missing = ref 0 in
-  for i = 0 to catchup_records - 1 do
-    if Memcached.Store.get follower (Printf.sprintf "key:%06d" i) = None then
-      incr missing
-  done;
-  for i = 0 to live_records - 1 do
-    if Memcached.Store.get follower (Printf.sprintf "live:%06d" i) = None then
-      incr missing
-  done;
-  Memcached.Cluster.stop cf;
-  Memcached.Cluster.stop cl;
-  Memcached.Persist.stop p;
-  let oc = open_out "BENCH_cluster.json" in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"cluster\",\n  \"catchup_records\": %d,\n  \
-     \"live_records\": %d,\n  \"value_size\": %d,\n  \
-     \"catchup_ops_per_s\": %.0f,\n  \"apply_lag_us_p50\": %s,\n  \
-     \"apply_lag_us_p99\": %s,\n  \"follower_missing\": %d\n}\n"
-    catchup_records live_records value_size catchup_ops_per_s
-    (stat "cluster_apply_lag_us_p50")
-    (stat "cluster_apply_lag_us_p99")
-    !missing;
-  close_out oc;
-  Printf.printf
-    "cluster: catch-up %8.0f ops/s (%d records in %.0f ms), live apply \
-     lag p99 %s us, %d missing, report in BENCH_cluster.json\n"
-    catchup_ops_per_s catchup_records (catchup_s *. 1e3)
-    (stat "cluster_apply_lag_us_p99")
-    !missing;
-  if !missing > 0 then exit 1
-
-(* --- tier smoke: hot-path tax, cold-hit service, demote throughput ---
-
-   Working set ~4x the memory budget, so with the tier attached roughly
-   three quarters of the keys can only live as cold markers. Three
-   claims are measured and gated:
-
-   - the hot path is free: GET p99 over a RAM-resident key range with
-     the tier attached must stay within 1.15x of the same store with no
-     tier (best of 5 interleaved rounds each, enforced here, not just
-     by trend);
-   - no hard misses: with the tier on, {e every} key of the oversized
-     working set must be readable — demoted values come back via the
-     promote path, nothing is silently dropped;
-   - cold service is real: full-keyspace scan throughput (mostly cold
-     hits, each a positioned read + promote + counter-demotion) and the
-     demote rate of the spill phase are reported and trend-gated, plus a
-     Zipfian (theta 0.99) GET phase whose hot head stays in RAM. *)
-
-let run_tier_bench () =
-  let tier_dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rp-bench-tier-%d" (Unix.getpid ()))
-  in
-  rm_rf tier_dir;
-  let keyspace = 8192 and value_size = 1024 in
-  let budget = 2 * 1024 * 1024 in
-  let key i = Printf.sprintf "key:%06d" i in
-  let data = String.make value_size 'x' in
-  let make_store () =
-    Memcached.Store.create ~backend:Memcached.Store.Rp ~max_bytes:budget
-      ~initial_size:4096 ()
-  in
-  (* Hot range: the most recently written tail, comfortably inside the
-     budget on both stores — small enough that hot values plus the cold
-     markers for the rest of the keyspace leave real headroom, or
-     promotes during measurement evict other hot keys and the range
-     churns forever. *)
-  let hot_n = 512 in
-  let hot_base = keyspace - hot_n in
-  let p99_hot store =
-    (* Value copy-outs allocate ~10MB per call, enough to phase-lock
-       major GC cycles onto whichever store is measured in a given slot;
-       collecting first puts both measurements at the same GC phase. *)
-    Gc.full_major ();
-    let samples = 300 and batch = 32 in
-    let lat = Array.make samples 0.0 in
-    let k = ref 0 in
-    for i = 0 to samples - 1 do
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to batch do
-        k := (!k + 1) land (hot_n - 1);
-        ignore (Memcached.Store.get store (key (hot_base + !k)))
-      done;
-      let t1 = Unix.gettimeofday () in
-      lat.(i) <- (t1 -. t0) /. float_of_int batch *. 1e9
-    done;
-    Array.sort compare lat;
-    lat.(int_of_float (0.99 *. float_of_int samples))
-  in
-  let prefill store =
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to keyspace - 1 do
-      ignore (Memcached.Store.set store ~key:(key i) ~flags:0 ~exptime:0 ~data)
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  (* Pass A: no tier — eviction drops the overflow on the floor. *)
-  let store_off = make_store () in
-  ignore (prefill store_off);
-  (* Pass B: tier attached — the same overflow spills to disk. *)
-  let store_on = make_store () in
-  let tier =
-    match Memcached.Tier.attach ~dir:tier_dir ~max_mb:64 store_on with
-    | Ok t -> t
-    | Error e ->
-        Printf.printf "tier bench: attach failed: %s\n" e;
-        exit 1
-  in
-  let spill_elapsed = prefill store_on in
-  let demotions_spill = Memcached.Store.tier_demotions store_on in
-  let demote_rps = float_of_int demotions_spill /. spill_elapsed in
-  (* Warm the hot range until a full pass promotes nothing — only then
-     is every hot key RAM-resident and the measurement exercises the
-     fast path, not the disk. Then let compaction drain: the tax under
-     measure is the attached tier's cost on the RAM fast path, not a
-     racing segment copy's CPU steal on a small box. *)
-  let rec warm rounds =
-    let before = Memcached.Store.tier_promotions store_on in
-    for i = hot_base to keyspace - 1 do
-      ignore (Memcached.Store.get store_on (key i))
-    done;
-    if Memcached.Store.tier_promotions store_on > before && rounds < 20 then
-      warm (rounds + 1)
-  in
-  warm 0;
-  while Memcached.Tier.compact_once tier do
-    ()
-  done;
-  (* Interleaved best-of-N: alternating off/on rounds see the same GC
-     heap and scheduler weather, so the ratio compares stores, not
-     moments. A single re-measure on a blown budget keeps one unlucky
-     pairing of mins (the per-round p99 jitters ~30% on a loaded CI
-     box) from failing a gate about the code path. *)
-  let p99_off = ref infinity and p99_on = ref infinity in
-  let measure () =
-    for round = 1 to 8 do
-      ignore round;
-      p99_off := Float.min !p99_off (p99_hot store_off);
-      p99_on := Float.min !p99_on (p99_hot store_on)
-    done
-  in
-  measure ();
-  if !p99_on /. !p99_off > 1.15 then measure ();
-  let p99_off = !p99_off and p99_on = !p99_on in
-  let ratio = p99_on /. p99_off in
-  (* Full-keyspace scan: mostly cold hits; every key must come back. *)
-  let hard_misses = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to keyspace - 1 do
-    match Memcached.Store.get store_on (key i) with
-    | Some v when String.length v.Memcached.Protocol.vdata = value_size -> ()
-    | Some _ | None -> incr hard_misses
-  done;
-  let scan_elapsed = Unix.gettimeofday () -. t0 in
-  let cold_hit_rps = float_of_int keyspace /. scan_elapsed in
-  (* Zipfian GETs: the skew that gives a tiered store its hot set. *)
-  let zipf_get_rps =
-    let keygen =
-      Rp_workload.Keygen.create ~dist:(Rp_workload.Keygen.Zipfian 0.99)
-        ~keyspace ~seed:42 ~worker:0 ()
-    in
-    let t0 = Unix.gettimeofday () in
-    let deadline = t0 +. 0.3 in
-    let ops = ref 0 in
-    while Unix.gettimeofday () < deadline do
-      for _ = 1 to 64 do
-        ignore
-          (Memcached.Store.get store_on
-             (key (Rp_workload.Keygen.next_key keygen)))
-      done;
-      ops := !ops + 64
-    done;
-    float_of_int !ops /. (Unix.gettimeofday () -. t0)
-  in
-  let promotions = Memcached.Store.tier_promotions store_on in
-  let demotions = Memcached.Store.tier_demotions store_on in
-  Memcached.Tier.stop tier;
-  rm_rf tier_dir;
-  let oc = open_out "BENCH_tier.json" in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"tier\",\n  \"keyspace\": %d,\n  \
-     \"value_size\": %d,\n  \"budget_bytes\": %d,\n  \
-     \"hot_p99_off_ns\": %.0f,\n  \"hot_p99_on_ns\": %.0f,\n  \
-     \"hot_p99_ratio\": %.3f,\n  \"cold_hit_rps\": %.0f,\n  \
-     \"demote_rps\": %.0f,\n  \"zipf_get_rps\": %.0f,\n  \
-     \"hard_misses\": %d,\n  \"tier_demotions\": %d,\n  \
-     \"tier_promotions\": %d\n}\n"
-    keyspace value_size budget p99_off p99_on ratio cold_hit_rps demote_rps
-    zipf_get_rps !hard_misses demotions promotions;
-  close_out oc;
-  Printf.printf
-    "tier:    hot GET p99 %.0f -> %.0f ns (%.2fx), cold scan %.0f req/s, \
-     demote %.0f/s, zipf %.0f req/s, %d hard misses, report in \
-     BENCH_tier.json\n"
-    p99_off p99_on ratio cold_hit_rps demote_rps zipf_get_rps !hard_misses;
-  if !hard_misses > 0 then begin
-    Printf.printf "tier bench: %d demoted keys were unreadable\n" !hard_misses;
-    exit 1
-  end;
-  if ratio > 1.15 then begin
-    Printf.printf "tier bench: hot-path tax %.2fx exceeds the 1.15x budget\n"
-      ratio;
-    exit 1
-  end;
-  if demotions_spill = 0 || promotions = 0 then begin
-    Printf.printf "tier bench: tier was never exercised (%d demotions, %d \
-                   promotions)\n"
-      demotions_spill promotions;
-    exit 1
-  end
-
-(* --- workload-insight (heat) bench: the skewed-traffic lane ----------
-   What it gates:
-   - the insight plane is cheap: GET p99 with --heat-topk 64 on vs off
-     stays within the same 1.15x budget every other plane honors
-     (in-process gate, plus the ratio is trend-gated);
-   - the sketch is honest: after a 50/50 GET/SET mix drawn from
-     Zipf(0.99), the merged Space-Saving top-1 hit share must land
-     within 10% of the analytic Zipfian top-1 probability;
-   - exposition agrees: the hottest key reported by the sketch appears
-     in 'stats heat', the Prometheus families, and the /heat JSON. *)
-
-let run_heat_bench () =
-  let keyspace = 8192 and value_size = 64 in
-  let key = Rp_workload.Keygen.string_key in
-  let data = String.make value_size 'x' in
-  let make_store ~heat_topk () =
-    Memcached.Store.create ~backend:Memcached.Store.Rp ~initial_size:4096
-      ~heat_topk ()
-  in
-  let prefill store =
-    for i = 0 to keyspace - 1 do
-      ignore (Memcached.Store.set store ~key:(key i) ~flags:0 ~exptime:0 ~data)
-    done
-  in
-  let store_off = make_store ~heat_topk:0 () in
-  let store_on = make_store ~heat_topk:64 () in
-  prefill store_off;
-  prefill store_on;
-  (* Both sides replay the identical precomputed Zipfian key sequence,
-     so the ratio compares the sketch tax, not sampler noise. *)
-  let zkeys =
-    let kg =
-      Rp_workload.Keygen.create ~dist:(Rp_workload.Keygen.Zipfian 0.99)
-        ~keyspace ~seed:7 ~worker:0 ()
-    in
-    Array.init 4096 (fun _ ->
-        key (Rp_workload.Keygen.next_key kg))
-  in
-  let p99_get store =
-    Gc.full_major ();
-    let samples = 300 and batch = 32 in
-    let lat = Array.make samples 0.0 in
-    let k = ref 0 in
-    for i = 0 to samples - 1 do
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to batch do
-        k := (!k + 1) land (Array.length zkeys - 1);
-        ignore (Memcached.Store.get store zkeys.(!k))
-      done;
-      let t1 = Unix.gettimeofday () in
-      lat.(i) <- (t1 -. t0) /. float_of_int batch *. 1e9
-    done;
-    Array.sort compare lat;
-    lat.(int_of_float (0.99 *. float_of_int samples))
-  in
-  (* Warm both sides to steady state first: the gate prices the
-     sketch's steady-state tax, not its first-touch slot allocation and
-     top-k ramp-up (a few thousand records). *)
-  let warm store =
-    for pass = 1 to 4 do
-      ignore pass;
-      Array.iter (fun k -> ignore (Memcached.Store.get store k)) zkeys
-    done
-  in
-  warm store_off;
-  warm store_on;
-  (* Best-of-N batch p99 per side, for the trend report. *)
-  let p99_off = ref infinity and p99_on = ref infinity in
-  for round = 1 to 4 do
-    ignore round;
-    p99_off := Float.min !p99_off (p99_get store_off);
-    p99_on := Float.min !p99_on (p99_get store_on)
-  done;
-  let p99_off = !p99_off and p99_on = !p99_on in
-  (* The gated ratio mirrors test_obs's read-overhead guard: mean cost
-     over a long run, minimum of interleaved rounds (the robust
-     estimator under scheduler noise — batch p99 is far too jittery to
-     gate on), with one re-measure on a blown budget. *)
-  let mean_get store =
-    Gc.full_major ();
-    let iters = 200_000 in
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to iters - 1 do
-      ignore (Memcached.Store.get store zkeys.(i land (Array.length zkeys - 1)))
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int iters *. 1e9
-  in
-  let mean_off = ref infinity and mean_on = ref infinity in
-  let measure () =
-    for round = 1 to 7 do
-      ignore round;
-      mean_on := Float.min !mean_on (mean_get store_on);
-      mean_off := Float.min !mean_off (mean_get store_off)
-    done
-  in
-  measure ();
-  if !mean_on /. !mean_off > 1.15 then measure ();
-  let ratio = !mean_on /. !mean_off in
-  (* The absolute tax beside the ratio: a faster bare path raises the
-     ratio even when the plane's own cost holds still. *)
-  let tax_ns = !mean_on -. !mean_off in
-  (* The 50/50 GET/SET mix under Zipf(0.99): the workload the plane
-     exists to describe. *)
-  let keygen =
-    Rp_workload.Keygen.create ~dist:(Rp_workload.Keygen.Zipfian 0.99)
-      ~keyspace ~seed:42 ~worker:0 ()
-  in
-  let prng = Rp_workload.Keygen.prng keygen in
-  let misses = ref 0 in
-  let gets = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  let deadline = t0 +. 0.4 in
-  let elapsed = ref 0.0 in
-  while Unix.gettimeofday () < deadline do
-    for _ = 1 to 64 do
-      let k = key (Rp_workload.Keygen.next_key keygen) in
-      if Rp_workload.Prng.float prng < 0.5 then
-        ignore (Memcached.Store.set store_on ~key:k ~flags:0 ~exptime:0 ~data)
-      else begin
-        incr gets;
-        match Memcached.Store.get store_on k with
-        | Some _ -> ()
-        | None -> incr misses
-      end
-    done;
-    elapsed := Unix.gettimeofday () -. t0
-  done;
-  let get_rps = float_of_int !gets /. !elapsed in
-  (* Sketch-reported vs analytic top-1 share. *)
-  let heat =
-    match Memcached.Store.heat store_on with
-    | Some h -> h
-    | None ->
-        Printf.printf "heat bench: store_on has no heat plane\n";
-        exit 1
-  in
-  let hits = Rp_heat.hits heat in
-  let top =
-    match Rp_heat.Sketch.top ~n:1 hits with
-    | e :: _ -> e
-    | [] ->
-        Printf.printf "heat bench: hits sketch is empty\n";
-        exit 1
-  in
-  (* Share in raw sampled units (count and total scale identically);
-     the reported tracked_hits is scaled back to stream units. *)
-  let share = float_of_int top.Rp_heat.Sketch.count
-              /. float_of_int (Rp_heat.Sketch.total hits) in
-  let tracked = Rp_heat.Sketch.total hits * Rp_heat.sample_every heat in
-  let analytic =
-    Rp_workload.Zipf.pmf (Rp_workload.Zipf.create ~theta:0.99 ~n:keyspace ()) 0
-  in
-  let share_err = Float.abs (share -. analytic) /. analytic in
-  (* The hottest key must surface identically everywhere. *)
-  let topkey = top.Rp_heat.Sketch.key in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    nn > 0 && go 0
-  in
-  let in_stats =
-    List.assoc_opt "heat_top_hits_0_key"
-      (Option.get (Memcached.Store.section store_on "heat"))
-    = Some topkey
-  in
-  let in_prom =
-    contains
-      (Rp_obs.Registry.to_prometheus (Memcached.Store.registry store_on))
-      (Printf.sprintf "heat_topk_hits{key=%S}" topkey)
-  in
-  let in_json = contains (Memcached.Store.heat_json store_on) topkey in
-  let oc = open_out "BENCH_heat.json" in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"heat\",\n  \"keyspace\": %d,\n  \
-     \"value_size\": %d,\n  \"get_rps\": %.0f,\n  \
-     \"get_p99_off_ns\": %.0f,\n  \"get_p99_ns\": %.0f,\n  \
-     \"heat_get_ratio\": %.3f,\n  \"heat_get_tax_ns\": %.1f,\n  \
-     \"top1_key\": \"%s\",\n  \
-     \"top1_share_sketch\": %.5f,\n  \"top1_share_analytic\": %.5f,\n  \
-     \"top1_share_err\": %.4f,\n  \"tracked_hits\": %d,\n  \
-     \"misses\": %d\n}\n"
-    keyspace value_size get_rps p99_off p99_on ratio tax_ns topkey share
-    analytic share_err tracked !misses;
-  close_out oc;
-  Printf.printf
-    "heat:    GET p99 %.0f -> %.0f ns, mean tax %.2fx (%+.1f ns), mixed zipf \
-     %.0f get/s, top-1 %s share %.4f vs %.4f analytic (err %.1f%%), report \
-     in BENCH_heat.json\n"
-    p99_off p99_on ratio tax_ns get_rps topkey share analytic
-    (share_err *. 100.);
-  if !misses > 0 then begin
-    Printf.printf "heat bench: %d GET misses on a prefilled keyspace\n" !misses;
-    exit 1
-  end;
-  if ratio > 1.15 then begin
-    Printf.printf
-      "heat bench: sketch tax %.2fx (%+.1f ns) exceeds the 1.15x budget\n"
-      ratio tax_ns;
-    exit 1
-  end;
-  if share_err > 0.10 then begin
-    Printf.printf
-      "heat bench: top-1 share %.4f is %.1f%% off the analytic %.4f (>10%%)\n"
-      share (share_err *. 100.) analytic;
-    exit 1
-  end;
-  if not (in_stats && in_prom && in_json) then begin
-    Printf.printf
-      "heat bench: top key %s missing from a surface (stats %b, prometheus \
-       %b, json %b)\n"
-      topkey in_stats in_prom in_json;
-    exit 1
-  end
-
 let () =
-  let args = Array.to_list Sys.argv in
-  let quick = List.mem "--quick" args in
-  let micro_only = List.mem "--micro-only" args in
-  let figures_only = List.mem "--figures-only" args in
-  if List.mem "--smoke" args then begin
-    run_smoke ();
-    run_persist_bench ();
-    run_writer_bench ();
-    run_server_bench ();
-    run_guard_bench ();
-    run_cluster_bench ();
-    run_tier_bench ();
-    run_heat_bench ()
-  end
-  else if List.mem "--heat-only" args then run_heat_bench ()
-  else begin
-  let options =
-    if quick then Rp_figures.Figures.quick_options
-    else Rp_figures.Figures.default_options
-  in
-  let csv_dir = "bench_results" in
-  (try Unix.mkdir csv_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let options = { options with Rp_figures.Figures.csv_dir = Some csv_dir } in
-  if not figures_only then run_micro ~quota:(if quick then 0.1 else 0.5);
-  if not micro_only then begin
-    Rp_figures.Figures.run_all options;
-    if not quick then Rp_figures.Ablations.run_all ();
-    Printf.printf "\nCSV series written under %s/\n" csv_dir
-  end
-  end
+  let quick = Array.exists (String.equal "--quick") Sys.argv in
+  run_micro ~quota:(if quick then 0.1 else 0.5)

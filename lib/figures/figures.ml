@@ -25,18 +25,6 @@ let default_options =
     csv_dir = None;
   }
 
-let quick_options =
-  {
-    default_options with
-    duration = 0.15;
-    repeats = 1;
-    real_threads = [ 1; 2 ];
-    mc_real_procs = [ 1; 2 ];
-    entries = 1024;
-    small_buckets = 2048;
-    large_buckets = 4096;
-  }
-
 type figure_result = {
   measured : Rp_harness.Series.t list;
   projected : Rp_harness.Series.t list;

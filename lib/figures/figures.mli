@@ -26,8 +26,6 @@ type options = {
 }
 
 val default_options : options
-val quick_options : options
-(** Short durations for CI / smoke runs. *)
 
 type figure_result = {
   measured : Rp_harness.Series.t list;

@@ -33,28 +33,20 @@ let stall_pressure = 0.90
 
 let install ?watermarks ?(interval = 0.05) ?(stall_window = 1.0) store =
   let g = Rp_guard.create ?watermarks ~interval () in
-  (* Memory: slab bytes vs the eviction budget. Note this source alone
-     cannot push past Shed in steady state — eviction holds bytes at
-     ~max_bytes — which is the intent: a full-but-evicting cache is
-     Throttle/Shed territory, not an Emergency.
-
-     With a cold tier attached below, the budget stops being a hard
-     resource: the eviction sweep demotes overflow to disk, so a full
-     hot layer is the healthy steady state and shedding SETs at ~full
-     would make demotion unreachable (the sweep only fires past the
-     budget). The source then measures how far the sweep is {e behind}
-     — bytes past the budget, in budgets — and the tier's own source
-     covers the cold side filling up. It keys off "attached", not
-     "admitting": Emergency pauses the tier, and a paused tier reading
-     raw fill (~1.0 in a full cache) would hold the ladder at Emergency
-     until memory drained. *)
+  (* Memory: how far the eviction sweep is behind, in budgets — bytes
+     past the budget, never raw fill. The sweep is what enforces the
+     budget, so a full cache that keeps evicting (or demoting to a cold
+     tier) reads 0: it is the healthy steady state of a cache, not
+     overload. Raw fill would sit at ~1.0, above the Emergency line, and
+     refuse every write and every new connection for good. A full cold
+     tier shows up through the tier's own source. *)
   let max_bytes = Store.max_bytes store in
   if max_bytes > 0 then
     Rp_guard.add_source g ~name:"mem" (fun () ->
         let raw =
           float_of_int (Store.bytes store) /. float_of_int max_bytes
         in
-        if Store.tier_attached store then Float.max 0.0 (raw -. 1.0) else raw);
+        Float.max 0. (raw -. 1.));
   (* RCU stalls: the watchdog's counter lives in the store registry under
      flavour-specific names; watch whichever is present. A count that
      moved within [stall_window] seconds holds stall pressure. *)

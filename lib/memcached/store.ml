@@ -1407,8 +1407,6 @@ let evictions t = Rp_obs.Counter.read t.evicted
 let tier_demotions t = Rp_obs.Counter.read t.tier_demotions
 let tier_promotions t = Rp_obs.Counter.read t.tier_promotions
 
-let tier_attached t = Option.is_some t.tier
-
 let tier_active t =
   match t.tier with Some hooks -> hooks.th_admit () | None -> false
 

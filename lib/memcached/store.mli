@@ -258,11 +258,6 @@ val tier_relocate :
 val tier_demotions : t -> int
 val tier_promotions : t -> int
 
-val tier_attached : t -> bool
-(** A tier is attached, admitting or not. The guard's memory source keys
-    off this: a full hot layer over a tier is healthy, not overload, and
-    a paused or full tier is the tier's own pressure source's concern. *)
-
 val tier_active : t -> bool
 (** A tier is attached and currently admitting demotions — i.e. an
     eviction sweep turns memory overflow into disk bytes rather than

@@ -50,7 +50,9 @@ val add_source : t -> name:string -> (unit -> float) -> unit
 
 val on_transition : t -> (state -> state -> unit) -> unit
 (** Subscribe an actuator: called as [(old_state, new_state)] on every
-    transition, outside the guard mutex, exceptions swallowed. *)
+    transition, outside the guard mutex, exceptions swallowed. Listeners
+    run after the new state is published, so a caller that sees
+    {!state} change may not yet see the listeners' effects. *)
 
 val start : t -> unit
 (** Spawn the background sweeper thread. Idempotent. *)

@@ -220,6 +220,12 @@ let test_replication_e2e () =
     (store_kv follower_store "live-49");
   Alcotest.(check (option string)) "delete propagated" None
     (store_kv follower_store "early-0");
+  (* Every record the leader acked is readable on the follower. *)
+  Alcotest.(check (list string)) "no acked record missing" []
+    (List.filter
+       (fun k -> store_kv follower_store k = None)
+       (List.init 99 (fun i -> Printf.sprintf "early-%d" (i + 1))
+       @ List.init 50 (Printf.sprintf "live-%d")));
   (* Cross-process trace propagation (in-process here, but through the
      full socket + wire path): the apply span carries the leader's id. *)
   let events, _skipped = Rp_trace.snapshot () in

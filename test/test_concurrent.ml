@@ -103,34 +103,46 @@ let test_rp_invariants_after_torture () =
   let stats = Rp_ht.resize_stats t in
   Alcotest.(check bool) "resizes happened" true (stats.expands > 0 && stats.shrinks > 0)
 
-(* The atomic-move guarantee: a reader looking for "the entry" under either
-   key must never find both absent. *)
+(* The atomic-move guarantee ([Rp_ht.move]): the mover publishes the
+   destination binding before it unlinks the source, so the table never
+   passes through a state with neither key bound. A reader sees that as:
+   probe the source, miss it, then probe the destination, and find it.
+   Two probes are not a snapshot, so nothing stronger holds on more than
+   one core. Probing destination-then-source, or probing while moves run
+   both ways over one key pair, can miss both without any fault: the
+   reader misses B while {A} is bound, the move A->B lands, and the
+   reader then misses A. So each move here takes a fresh source to a
+   fresh destination, and the reader chases the move in flight, in the
+   source-first order. *)
 let test_move_never_neither () =
+  let moves = 20_000 in
   let t =
-    Rp_ht.create ~initial_size:64 ~auto_resize:false ~hash:Rp_hashes.Hashfn.of_int
-      ~equal:Int.equal ()
+    Rp_ht.create ~initial_size:65536 ~auto_resize:false
+      ~hash:Rp_hashes.Hashfn.of_int ~equal:Int.equal ()
   in
-  let key_a = 1 and key_b = 2 in
-  Rp_ht.insert t key_a "payload";
+  let src i = 2 * i and dst i = (2 * i) + 1 in
+  for i = 0 to moves - 1 do
+    Rp_ht.insert t (src i) "payload"
+  done;
+  let current = Atomic.make 0 in
   let stop = Atomic.make false in
   let neither = Atomic.make 0 in
   let reader =
     Domain.spawn (fun () ->
         while not (Atomic.get stop) do
-          (* Check B first, then A: a mover going A->B could be missed by
-             checking A first, B later only if the move were non-atomic in
-             the never-neither sense. Check both orders. *)
-          let b_then_a = Rp_ht.find t key_b = None && Rp_ht.find t key_a = None in
-          let a_then_b = Rp_ht.find t key_a = None && Rp_ht.find t key_b = None in
-          if a_then_b || b_then_a then Atomic.incr neither
+          let i = Atomic.get current in
+          if Rp_ht.find t (src i) = None && Rp_ht.find t (dst i) = None then
+            Atomic.incr neither
         done)
   in
-  for _ = 1 to 2000 do
-    ignore (Rp_ht.move t ~from_key:key_a ~to_key:key_b Fun.id);
-    ignore (Rp_ht.move t ~from_key:key_b ~to_key:key_a Fun.id)
+  let moved = ref 0 in
+  for i = 0 to moves - 1 do
+    Atomic.set current i;
+    if Rp_ht.move t ~from_key:(src i) ~to_key:(dst i) Fun.id then incr moved
   done;
   Atomic.set stop true;
   Domain.join reader;
+  Alcotest.(check int) "every source was bound" moves !moved;
   Alcotest.(check int) "never both absent" 0 (Atomic.get neither)
 
 (* Value updates via replace must be atomic: readers see old or new, never

@@ -1,6 +1,7 @@
 (* Smoke tests for the figure machinery and the mc-benchmark generator:
-   tiny durations, structural assertions. These guarantee `bench/main.exe`
-   cannot bit-rot silently. *)
+   tiny durations, structural assertions. These guarantee that
+   `bin/rp_bench.exe` (the figures and their CSVs) cannot bit-rot
+   silently. *)
 
 let tiny =
   {

@@ -461,30 +461,25 @@ let test_append_failure_latch () =
    ladder is back to Healthy. *)
 let test_qsbr_emergency_sweep_then_writes () =
   let budget = 16 * 1024 in
-  let now = Atomic.make 1_000_000_000.0 in
   let store =
-    Store.create ~backend:Store.Rp ~rcu_mode:Store.Qsbr ~max_bytes:budget
-      ~clock:(fun () -> Atomic.get now)
-      ()
+    Store.create ~backend:Store.Rp ~rcu_mode:Store.Qsbr ~max_bytes:budget ()
   in
   (* Restored records skip inline eviction, which leaves the store over
      budget for the actuator to sweep: far enough over that the sweep
      retires more items than one deferred-reclamation batch. *)
-  let keys = List.init 200 (fun k -> "ek" ^ string_of_int k) in
   Store.background store (fun () ->
-      List.iteri
-        (fun k key ->
-          Store.restore store
-            (Rp_persist.Record.Set
-               {
-                 op = Rp_persist.Record.Tset;
-                 key;
-                 flags = 0;
-                 exptime = Atomic.get now +. 60.;
-                 cas = k + 1;
-                 data = String.make 1024 'e';
-               }))
-        keys);
+      for k = 0 to 199 do
+        Store.restore store
+          (Rp_persist.Record.Set
+             {
+               op = Rp_persist.Record.Tset;
+               key = "ek" ^ string_of_int k;
+               flags = 0;
+               exptime = 0.;
+               cas = k + 1;
+               data = String.make 1024 'e';
+             })
+      done);
   Alcotest.(check bool) "over budget" true (Store.bytes store > budget);
   let path = sock_path "emergency" in
   let server =
@@ -508,19 +503,64 @@ let test_qsbr_emergency_sweep_then_writes () =
     Alcotest.check state (Rp_guard.state_name want) want (Rp_guard.state g)
   in
   wait_for Rp_guard.Emergency;
-  Alcotest.(check bool) "emergency sweep evicted" true
-    (Store.evictions store >= 100);
-  (* A full cache holds the mem source at Shed or above. Expire what is
-     left and let GETs (never shed) reap it so the ladder can descend. *)
-  Atomic.set now (Atomic.get now +. 120.);
-  Stall_probe.gets ~label:"reaping" probe keys;
+  (* The sweep publishes Emergency before its listeners run, so the
+     eviction lands some time after the state is visible. *)
+  eventually ~label:"emergency sweep evictions" (fun () ->
+      Store.evictions store >= 100);
+  (* Back under budget, the mem source reads 0: the ladder descends and
+     stays Healthy while the probe's SETs refill the cache. *)
   Atomic.set pressure 0.0;
   wait_for Rp_guard.Healthy;
-  (* The probe's SETs refill the cache, which would take the mem source
-     back up to Shed: stop the ladder at Healthy first. *)
-  Rp_guard.stop g;
   Stall_probe.sets ~label:"after emergency" probe ~prefix:"s" 2000;
+  Rp_guard.stop g;
   Unix.close probe;
+  Server.stop server
+
+(* --- a full cache keeps serving --- *)
+
+(* A server wired as the binary wires it by default (rp backend on QSBR,
+   guard on with the default watermarks, connection source attached),
+   filled over a socket to four times its budget. Eviction holds bytes
+   at the budget, so the memory source must read 0 and the ladder stay
+   Healthy: every SET is STORED and a new connection is served. *)
+let test_full_cache_keeps_serving () =
+  let budget = 1024 * 1024 in
+  let store =
+    Store.create ~backend:Store.Rp ~rcu_mode:Store.Qsbr ~max_bytes:budget ()
+  in
+  let g = Guard.install store in
+  let path = sock_path "full" in
+  let server = Server.start ~store (Server.Unix_socket path) in
+  Guard.watch_server g server;
+  Rp_guard.start g;
+  let value = String.make 4096 'f' in
+  let set ~label fd key =
+    let req =
+      Printf.sprintf "set %s 0 0 %d\r\n%s\r\n" key (String.length value) value
+    in
+    let deadline = Unix.gettimeofday () +. 10. in
+    match Stall_probe.exchange ~label ~deadline fd req ~until:"\r\n" with
+    | "STORED\r\n" -> ()
+    | reply -> Alcotest.failf "%s: SET %s answered %S" label key reply
+  in
+  let fd = Stall_probe.connect path in
+  for i = 1 to 4 * budget / 4096 do
+    set ~label:"fill" fd (Printf.sprintf "full-%d" i)
+  done;
+  (* Sweeps of our own, so the ladder has certainly seen the full cache
+     whatever the sweeper thread's timing. *)
+  for _ = 1 to 3 do
+    Rp_guard.sweep g
+  done;
+  Alcotest.(check bool) "evicted to the budget" true
+    (Store.evictions store > 0 && Store.bytes store <= budget);
+  Alcotest.check state "still healthy" Rp_guard.Healthy (Rp_guard.state g);
+  set ~label:"after fill" fd "after-1";
+  let fresh = Stall_probe.connect path in
+  set ~label:"new connection" fresh "after-2";
+  Unix.close fresh;
+  Unix.close fd;
+  Rp_guard.stop g;
   Server.stop server
 
 (* --- connection admission --- *)
@@ -596,5 +636,9 @@ let () =
             test_qsbr_emergency_sweep_then_writes;
         ] );
       ( "admission",
-        [ Alcotest.test_case "inflight cap" `Quick test_admission_cap ] );
+        [
+          Alcotest.test_case "inflight cap" `Quick test_admission_cap;
+          Alcotest.test_case "full cache at 4x budget keeps serving" `Quick
+            test_full_cache_keeps_serving;
+        ] );
     ]

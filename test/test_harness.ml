@@ -177,120 +177,6 @@ let test_ascii_chart_empty () =
   in
   Alcotest.(check bool) "handles no data" true (Testutil.contains out "(no data)")
 
-(* --- trend gate --- *)
-
-module Trend = Rp_harness.Trend
-
-let server_report ~rps ~misses =
-  Printf.sprintf
-    {|{"benchmark": "server-pipelined-get",
-       "runs": [
-         {"label": "event-loop-w1", "rps": %d, "misses": %d},
-         {"label": "threaded", "rps": 50000, "misses": 0}
-       ]}|}
-    rps misses
-
-let server_baseline = Trend.parse (server_report ~rps:40000 ~misses:0)
-let server_rules = Trend.rules_for "server-pipelined-get"
-
-let test_trend_parse_flatten () =
-  let json = Trend.parse {|{"a": 1, "b": {"c": 2.5}, "arr": [3, {"label": "x", "v": 4}], "s": "skip", "t": true}|} in
-  let flat = Trend.flatten json in
-  Alcotest.(check (option (float 0.))) "top-level" (Some 1.)
-    (List.assoc_opt "a" flat);
-  Alcotest.(check (option (float 0.))) "nested" (Some 2.5)
-    (List.assoc_opt "b.c" flat);
-  Alcotest.(check (option (float 0.))) "array index" (Some 3.)
-    (List.assoc_opt "arr.0" flat);
-  Alcotest.(check (option (float 0.))) "labelled element" (Some 4.)
-    (List.assoc_opt "arr.x.v" flat);
-  Alcotest.(check (option (float 0.))) "bool as 0/1" (Some 1.)
-    (List.assoc_opt "t" flat);
-  Alcotest.(check (option (float 0.))) "strings skipped" None
-    (List.assoc_opt "s" flat);
-  (match Trend.parse "{broken" with
-  | exception Trend.Parse_error _ -> ()
-  | _ -> Alcotest.fail "garbage accepted")
-
-let test_trend_gate_passes_healthy () =
-  let fresh = Trend.parse (server_report ~rps:120000 ~misses:0) in
-  Alcotest.(check int) "healthy run passes" 0
-    (List.length (Trend.gate ~rules:server_rules ~baseline:server_baseline ~fresh));
-  (* 20% under the floor is within the 25% budget. *)
-  let fresh = Trend.parse (server_report ~rps:32000 ~misses:0) in
-  Alcotest.(check int) "noise-level dip passes" 0
-    (List.length (Trend.gate ~rules:server_rules ~baseline:server_baseline ~fresh))
-
-let test_trend_gate_fails_regression () =
-  (* Doctored report: throughput collapsed well past 25% under baseline. *)
-  let fresh = Trend.parse (server_report ~rps:4000 ~misses:0) in
-  let failures =
-    Trend.gate ~rules:server_rules ~baseline:server_baseline ~fresh
-  in
-  Alcotest.(check int) "regression caught" 1 (List.length failures);
-  let f = List.hd failures in
-  Alcotest.(check string) "right metric" "runs.event-loop-w1.rps" f.Trend.f_metric;
-  Alcotest.(check bool) "report renders" true
-    (String.length (Trend.report_failures failures) > 0)
-
-let test_trend_gate_misses_exact_zero () =
-  (* A single miss fails, however good the throughput. *)
-  let fresh = Trend.parse (server_report ~rps:500000 ~misses:1) in
-  let failures =
-    Trend.gate ~rules:server_rules ~baseline:server_baseline ~fresh
-  in
-  Alcotest.(check int) "miss caught" 1 (List.length failures);
-  Alcotest.(check string) "right metric" "runs.event-loop-w1.misses"
-    (List.hd failures).Trend.f_metric
-
-let test_trend_gate_missing_metric () =
-  (* A gated metric vanishing from the fresh report is itself a failure. *)
-  let fresh =
-    Trend.parse
-      {|{"benchmark": "server-pipelined-get",
-         "runs": [{"label": "threaded", "rps": 50000, "misses": 0}]}|}
-  in
-  let failures =
-    Trend.gate ~rules:server_rules ~baseline:server_baseline ~fresh
-  in
-  Alcotest.(check bool) "missing run caught" true
-    (List.exists
-       (fun f -> f.Trend.f_metric = "runs.event-loop-w1.rps")
-       failures)
-
-let test_trend_gate_lower_better_and_exact () =
-  let baseline =
-    Trend.parse {|{"benchmark": "persist", "snapshot_mb_per_s": 10,
-                   "replay_ops_per_s": 40000, "get_p99_ns_snapshot_on": 60000}|}
-  in
-  let rules = Trend.rules_for "persist" in
-  let fresh_ok =
-    Trend.parse {|{"benchmark": "persist", "snapshot_mb_per_s": 30,
-                   "replay_ops_per_s": 120000, "get_p99_ns_snapshot_on": 8000}|}
-  in
-  Alcotest.(check int) "healthy persist passes" 0
-    (List.length (Trend.gate ~rules ~baseline ~fresh:fresh_ok));
-  (* Doctored: tail latency blew through the ceiling. *)
-  let fresh_slow =
-    Trend.parse {|{"benchmark": "persist", "snapshot_mb_per_s": 30,
-                   "replay_ops_per_s": 120000, "get_p99_ns_snapshot_on": 90000}|}
-  in
-  Alcotest.(check string) "tail regression caught" "get_p99_ns_snapshot_on"
-    (List.hd (Trend.gate ~rules ~baseline ~fresh:fresh_slow)).Trend.f_metric;
-  (* Exact rule: smoke's deterministic hit count must not change at all. *)
-  let smoke_base =
-    Trend.parse {|{"benchmark": "smoke", "lookup_hits": 8192,
-                   "store": {"trace_spans_total": 80}}|}
-  in
-  let smoke_rules = Trend.rules_for "smoke" in
-  let smoke_bad =
-    Trend.parse {|{"benchmark": "smoke", "lookup_hits": 8191,
-                   "store": {"trace_spans_total": 900}}|}
-  in
-  Alcotest.(check string) "hit-count drift caught" "lookup_hits"
-    (List.hd (Trend.gate ~rules:smoke_rules ~baseline:smoke_base ~fresh:smoke_bad))
-      .Trend.f_metric
-
 let () =
   Alcotest.run "harness"
     [
@@ -318,19 +204,5 @@ let () =
           Alcotest.test_case "series table" `Quick test_print_series_table;
           Alcotest.test_case "ascii chart" `Quick test_ascii_chart_renders;
           Alcotest.test_case "ascii chart empty" `Quick test_ascii_chart_empty;
-        ] );
-      ( "trend",
-        [
-          Alcotest.test_case "parse + flatten" `Quick test_trend_parse_flatten;
-          Alcotest.test_case "healthy run passes" `Quick
-            test_trend_gate_passes_healthy;
-          Alcotest.test_case "doctored regression fails" `Quick
-            test_trend_gate_fails_regression;
-          Alcotest.test_case "misses are exact-zero" `Quick
-            test_trend_gate_misses_exact_zero;
-          Alcotest.test_case "vanished metric fails" `Quick
-            test_trend_gate_missing_metric;
-          Alcotest.test_case "lower-better and exact rules" `Quick
-            test_trend_gate_lower_better_and_exact;
         ] );
     ]

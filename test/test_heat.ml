@@ -241,6 +241,65 @@ let test_stats_reset () =
     (stat_of (Option.get (Memcached.Store.section store "")) "cmd_get");
   Alcotest.(check bool) "cmd_get was non-zero" true (cmd_get_before <> None)
 
+(* --- sketch accuracy under a skewed mix ----------------------------- *)
+
+(* A fixed 50/50 GET/SET mix drawn from Zipf(0.99) over a prefilled
+   keyspace, through a store with the default head sampling: no GET may
+   miss, the merged top-1 share of sampled hits must land within 10% of
+   the analytic Zipf rank-0 probability, and the hottest key must
+   surface in stats, Prometheus and the JSON document alike. *)
+let test_top1_share () =
+  let keyspace = 8192 and ops = 400_000 in
+  let store =
+    Memcached.Store.create ~backend:Memcached.Store.Rp ~initial_size:4096
+      ~heat_topk:64 ()
+  in
+  let data = String.make 64 'x' in
+  for i = 0 to keyspace - 1 do
+    ignore (Memcached.Store.set store ~key:(key i) ~flags:0 ~exptime:0 ~data)
+  done;
+  let keygen =
+    Rp_workload.Keygen.create ~dist:(Rp_workload.Keygen.Zipfian 0.99)
+      ~keyspace ~seed:42 ~worker:0 ()
+  in
+  let prng = Rp_workload.Keygen.prng keygen in
+  let misses = ref 0 in
+  for _ = 1 to ops do
+    let k = key (Rp_workload.Keygen.next_key keygen) in
+    if Rp_workload.Prng.float prng < 0.5 then
+      ignore (Memcached.Store.set store ~key:k ~flags:0 ~exptime:0 ~data)
+    else if Memcached.Store.get store k = None then incr misses
+  done;
+  Alcotest.(check int) "no GET misses on a prefilled keyspace" 0 !misses;
+  let hits = Rp_heat.hits (Option.get (Memcached.Store.heat store)) in
+  let top =
+    match Rp_heat.Sketch.top ~n:1 hits with
+    | e :: _ -> e
+    | [] -> Alcotest.fail "hits sketch is empty"
+  in
+  (* Raw sampled units: count and total scale identically. *)
+  let share =
+    float_of_int top.count /. float_of_int (Rp_heat.Sketch.total hits)
+  in
+  let analytic =
+    Rp_workload.Zipf.pmf (Rp_workload.Zipf.create ~theta:0.99 ~n:keyspace ()) 0
+  in
+  let err = Float.abs (share -. analytic) /. analytic in
+  Printf.printf "top-1 %s share %.4f vs %.4f analytic (err %.1f%%)\n%!"
+    top.key share analytic (err *. 100.);
+  if err > 0.10 then
+    Alcotest.failf "top-1 share %.4f is %.1f%% off the analytic %.4f (>10%%)"
+      share (err *. 100.) analytic;
+  Alcotest.(check (option string)) "top key in stats" (Some top.key)
+    (List.assoc_opt "heat_top_hits_0_key"
+       (Option.get (Memcached.Store.section store "heat")));
+  Alcotest.(check bool) "top key in prometheus" true
+    (Testutil.contains
+       (Rp_obs.Registry.to_prometheus (Memcached.Store.registry store))
+       (Printf.sprintf "heat_topk_hits{key=%S}" top.key));
+  Alcotest.(check bool) "top key in json" true
+    (Testutil.contains (Memcached.Store.heat_json store) top.key)
+
 (* --- hot-path overhead guard --------------------------------------- *)
 
 (* GET cost with --heat-topk 64 on vs off, same keys, same store shape:
@@ -260,8 +319,6 @@ let test_heat_overhead () =
     done;
     store
   in
-  let store_off = make ~heat_topk:0 in
-  let store_on = make ~heat_topk:64 in
   let zkeys =
     let kg =
       Rp_workload.Keygen.create ~dist:(Rp_workload.Keygen.Zipfian 0.99)
@@ -269,53 +326,58 @@ let test_heat_overhead () =
     in
     Array.init 4096 (fun _ -> key (Rp_workload.Keygen.next_key kg))
   in
-  let iters = 200_000 in
-  let time store =
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
+  (* One round is one pass over the key stream. Per store pair, 800
+     rounds a side pin each minimum to a percent or two; across pairs
+     the ratio still moves by a few percent (where the two stores and
+     the sketch land in memory), so the gate takes the median over five
+     fresh pairs. On a 2-core host, 7 rounds of 200k GETs on one pair
+     spread the ratio over 1.05-1.18x across runs against a tax near
+     1.11x. *)
+  let iters = Array.length zkeys and rounds = 800 and pairs = 5 in
+  let pass store () =
     for i = 0 to iters - 1 do
-      ignore (Memcached.Store.get store zkeys.(i land 4095))
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  (* Warm both paths once. *)
-  ignore (time store_off);
-  ignore (time store_on);
-  let best_off = ref infinity and best_on = ref infinity in
-  let rounds () =
-    for _ = 1 to 7 do
-      best_off := Float.min !best_off (time store_off);
-      best_on := Float.min !best_on (time store_on)
+      ignore (Memcached.Store.get store zkeys.(i))
     done
   in
-  rounds ();
-  (* One re-measure on a blown budget (as the bench lane does): on this
-     single-core box a first miss is usually scheduler weather; a real
-     regression fails both passes. *)
-  if !best_on /. !best_off > 1.15 then rounds ();
-  let ratio = !best_on /. !best_off in
+  let measure_pair () =
+    let store_off = make ~heat_topk:0 in
+    let store_on = make ~heat_topk:64 in
+    (* Warm both paths once. *)
+    pass store_off ();
+    pass store_on ();
+    Gc.full_major ();
+    let on, off =
+      Testutil.min_round_times ~rounds ~on:(pass store_on)
+        ~off:(pass store_off)
+    in
+    (* The measured traffic must show up in the sketch: with the default
+       head sampling the scaled hit total covers at least an eighth of
+       the GETs the guard ran. *)
+    (match Memcached.Store.heat store_on with
+    | None -> Alcotest.fail "store_on lost its heat plane"
+    | Some h ->
+        let tracked =
+          Rp_heat.Sketch.total (Rp_heat.hits h) * Rp_heat.sample_every h
+        in
+        Alcotest.(check bool) "sampled GETs cover the measured traffic" true
+          (tracked >= (rounds + 1) * iters / 8));
+    (on /. off, on, off)
+  in
+  let results = List.sort compare (List.init pairs (fun _ -> measure_pair ())) in
+  let ratio, on, off = List.nth results (pairs / 2) in
   (* The tax in ns beside the ratio: a faster bare path raises the ratio
      even when the plane's own cost holds still. *)
   let ns x = x /. float_of_int iters *. 1e9 in
-  let tax_ns = ns !best_on -. ns !best_off in
+  let tax_ns = ns on -. ns off in
   Printf.printf
-    "heat-on GET cost: %.2fx (off %.0f ns, on %.0f ns, tax %+.1f ns)\n%!"
-    ratio (ns !best_off) (ns !best_on) tax_ns;
+    "heat-on GET cost: %.2fx (off %.0f ns, on %.0f ns, tax %+.1f ns; pairs %s)\n%!"
+    ratio (ns off) (ns on) tax_ns
+    (String.concat " "
+       (List.map (fun (r, _, _) -> Printf.sprintf "%.3f" r) results));
   if ratio > 1.15 then
     Alcotest.failf
       "heat-enabled GETs cost %.2fx the bare path (budget 1.15x, tax %+.1f ns)"
-      ratio tax_ns;
-  (* The measured traffic must show up in the sketch: with the default
-     head sampling the scaled hit total covers at least one full round
-     of the 8 the guard ran. *)
-  match Memcached.Store.heat store_on with
-  | None -> Alcotest.fail "store_on lost its heat plane"
-  | Some h ->
-      let tracked =
-        Rp_heat.Sketch.total (Rp_heat.hits h) * Rp_heat.sample_every h
-      in
-      Alcotest.(check bool) "sampled GETs cover the measured traffic" true
-        (tracked >= iters)
+      ratio tax_ns
 
 let () =
   Alcotest.run "rp_heat"
@@ -332,6 +394,7 @@ let () =
           Alcotest.test_case "exposition round-trips" `Quick
             test_store_exposition;
           Alcotest.test_case "stats reset" `Quick test_stats_reset;
+          Alcotest.test_case "zipf top-1 share" `Quick test_top1_share;
         ] );
       ( "overhead",
         [ Alcotest.test_case "heat-on GET guard" `Slow test_heat_overhead ] );

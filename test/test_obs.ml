@@ -325,33 +325,32 @@ let test_read_overhead () =
   for i = 0 to entries - 1 do
     Rp_ht.insert table i i
   done;
-  let iters = 200_000 in
-  let time_lookups () =
-    let start = Unix.gettimeofday () in
+  let iters = entries in
+  let lookups () =
     for i = 0 to iters - 1 do
-      ignore (Rp_ht.find table (i land (entries - 1)))
-    done;
-    Unix.gettimeofday () -. start
+      ignore (Rp_ht.find table i)
+    done
   in
-  (* Alternate enabled/disabled trials and keep the minimum of each side:
-     alternation cancels drift (frequency scaling, cache warm-up) that
-     would bias whichever side ran last, and the minimum is the robust
-     estimator of true cost under scheduler noise. The guard is the
-     issue's bound: instrumented read path within 15% of the
-     kill-switched one. *)
-  ignore (time_lookups ());
+  (* Many short alternating rounds, each side's minimum kept (see
+     [Testutil.min_round_times]): a round only gains time from outside,
+     and 2,000 rounds of one pass over the table converge where 7 rounds
+     of 200k lookups spread the ratio over 0.95-1.24x across runs on a
+     2-core host. The bound: the instrumented read path stays within 15%
+     of the kill-switched one. *)
+  lookups ();
   (* warm up *)
-  let instrumented = ref infinity and uninstrumented = ref infinity in
-  Fun.protect
-    ~finally:(fun () -> set_enabled true)
-    (fun () ->
-      for _ = 1 to 7 do
-        set_enabled true;
-        instrumented := Float.min !instrumented (time_lookups ());
-        set_enabled false;
-        uninstrumented := Float.min !uninstrumented (time_lookups ())
-      done);
-  let instrumented = !instrumented and uninstrumented = !uninstrumented in
+  let instrumented, uninstrumented =
+    Fun.protect
+      ~finally:(fun () -> set_enabled true)
+      (fun () ->
+        Testutil.min_round_times ~rounds:2000
+          ~on:(fun () ->
+            set_enabled true;
+            lookups ())
+          ~off:(fun () ->
+            set_enabled false;
+            lookups ()))
+  in
   let ratio = instrumented /. uninstrumented in
   Printf.printf "read-path overhead: %.0f vs %.0f ns/1k (ratio %.3f)\n%!"
     (instrumented *. 1e9 /. float_of_int iters *. 1e3)

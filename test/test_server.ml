@@ -569,6 +569,51 @@ let test_one_read_per_readiness () =
   Alcotest.(check int) "capped reads" 6 (Rp_fault.hits site);
   Alcotest.(check int) "all requests buffered" 3 (Conn.dispatch conn store)
 
+(* Mc_benchmark's socket load generator against the event loop at 1, 2
+   and 4 worker domains: a prefill over the wire, then pipelined GETs on
+   two connections. Every GET must come back a hit. *)
+let test_run_socket_workers () =
+  let keyspace = 1024 and value_size = 64 in
+  let run workers =
+    let store =
+      Store.create ~backend:Store.Rp ~rcu_mode:Store.Qsbr ~initial_size:4096 ()
+    in
+    let path =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "rp-test-run-socket-%d-w%d.sock" (Unix.getpid ())
+           workers)
+    in
+    let server =
+      Server.start ~store
+        ~config:{ Server.default_config with workers }
+        (Server.Unix_socket path)
+    in
+    Fun.protect
+      ~finally:(fun () -> Server.stop server)
+      (fun () ->
+        let addr = Server.address server in
+        Mc_benchmark.socket_prefill addr ~keyspace ~value_size;
+        let r =
+          Mc_benchmark.run_socket addr
+            {
+              Mc_benchmark.connections = 2;
+              pipeline = 32;
+              sduration = 0.05;
+              skeyspace = keyspace;
+              svalue_size = value_size;
+              sseed = 42;
+              sdist = Rp_workload.Keygen.Uniform;
+            }
+        in
+        let label what = Printf.sprintf "%d worker(s): %s" workers what in
+        Alcotest.(check bool) (label "GETs round-tripped") true
+          (r.requests > 0);
+        Alcotest.(check int) (label "misses") 0 r.misses;
+        Alcotest.(check int) (label "every GET a hit") r.requests r.hits)
+  in
+  List.iter run [ 1; 2; 4 ]
+
 let () =
   Alcotest.run "server"
     [
@@ -591,5 +636,7 @@ let () =
             test_multiworker_routing;
           Alcotest.test_case "one read per readiness" `Quick
             test_one_read_per_readiness;
+          Alcotest.test_case "run_socket at 1/2/4 workers" `Quick
+            test_run_socket_workers;
         ] );
     ]

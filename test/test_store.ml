@@ -498,6 +498,59 @@ let model_property name backend =
         ops;
       Store.items store = Hashtbl.length model)
 
+(* --- parallel writers --- *)
+
+(* The striped store under real parallel writers: at 1, 2, 4 and 8
+   writer domains, each domain runs a fixed 50/50 GET/SET mix, GETs over
+   a shared prefilled keyspace and SETs into its own key range. No GET
+   may miss and no SET may fail, whatever the interleaving. *)
+let test_writer_mix () =
+  let keyspace = 4096 and ops = 20_000 in
+  let data = String.make 64 'x' in
+  let key k = Printf.sprintf "key:%06d" k in
+  let run writers =
+    let store = Store.create ~backend:Store.Rp ~initial_size:4096 () in
+    for k = 0 to keyspace - 1 do
+      ignore (Store.set store ~key:(key k) ~flags:0 ~exptime:0 ~data)
+    done;
+    let worker w () =
+      let mix =
+        Rp_workload.Opmix.create ~update_ratio:0.5 ~remove_share:0.0 ~seed:42
+          ~worker:w ()
+      in
+      let prng = Rp_workload.Prng.split (Rp_workload.Prng.create ~seed:7) w in
+      let sets = ref 0 and errors = ref 0 and misses = ref 0 in
+      for _ = 1 to ops do
+        let k = Rp_workload.Prng.below prng keyspace in
+        match Rp_workload.Opmix.next mix with
+        | Rp_workload.Opmix.Lookup ->
+            if Store.get store (key k) = None then incr misses
+        | Rp_workload.Opmix.Insert | Rp_workload.Opmix.Remove -> (
+            incr sets;
+            match
+              Store.set store
+                ~key:(Printf.sprintf "w%d:%06d" w k)
+                ~flags:0 ~exptime:0 ~data
+            with
+            | Store.Stored -> ()
+            | _ -> incr errors)
+      done;
+      (!sets, !errors, !misses)
+    in
+    let results =
+      List.map Domain.join
+        (List.init writers (fun w -> Domain.spawn (worker w)))
+    in
+    List.iteri
+      (fun w (sets, errors, misses) ->
+        let label what = Printf.sprintf "w%d of %d: %s" w writers what in
+        Alcotest.(check bool) (label "made SET progress") true (sets > 0);
+        Alcotest.(check int) (label "SET errors") 0 errors;
+        Alcotest.(check int) (label "GET misses") 0 misses)
+      results
+  in
+  List.iter run [ 1; 2; 4; 8 ]
+
 let () =
   let per_backend test =
     List.map (fun (name, b) -> Alcotest.test_case name `Quick (test b)) backends
@@ -536,6 +589,9 @@ let () =
           Alcotest.test_case "expiry" `Quick test_qsbr_expiry;
           Alcotest.test_case "eviction" `Quick test_qsbr_eviction;
         ] );
+      ( "writers",
+        [ Alcotest.test_case "50/50 mix at 1/2/4/8 domains" `Quick test_writer_mix ]
+      );
       ("exptime threshold", per_backend test_exptime_threshold);
       ("exptime logged absolute", per_backend test_exptime_logged_absolute);
       ("stats", per_backend test_stats);

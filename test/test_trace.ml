@@ -3,7 +3,6 @@
    coverage across all three planes, and the fully-sampled overhead
    guard. *)
 
-module Trend = Rp_harness.Trend
 open Testutil
 
 (* --- helpers ----------------------------------------------------------- *)
@@ -199,6 +198,36 @@ let test_tail_trigger () =
               Alcotest.(check bool) "retention counted" true
                 (stat_int "trace_slow_retained" >= 1))))
 
+(* --- the JSON reader the export checks stand on ------------------------ *)
+
+let test_json_reader () =
+  let doc =
+    Json.parse
+      {|{"a": 1, "b": {"c": -2.5e1}, "arr": [3, {"s": "x\"y"}], "t": true, "n": null}|}
+  in
+  let get path =
+    List.fold_left
+      (fun v k -> Option.bind v (Json.member k))
+      (Some doc) path
+  in
+  Alcotest.(check bool) "top-level number" true (get [ "a" ] = Some (Json.Num 1.));
+  Alcotest.(check bool) "nested number" true
+    (get [ "b"; "c" ] = Some (Json.Num (-25.)));
+  (match get [ "arr" ] with
+  | Some (Json.List [ Json.Num 3.; o ]) ->
+      Alcotest.(check bool) "escaped string" true
+        (Json.member "s" o = Some (Json.Str "x\"y"))
+  | _ -> Alcotest.fail "array not read back");
+  Alcotest.(check bool) "bool" true (get [ "t" ] = Some (Json.Bool true));
+  Alcotest.(check bool) "null" true (get [ "n" ] = Some Json.Null);
+  Alcotest.(check bool) "absent member" true (get [ "zz" ] = None);
+  List.iter
+    (fun bad ->
+      match Json.parse bad with
+      | exception Json.Parse_error _ -> ()
+      | _ -> Alcotest.failf "garbage accepted: %S" bad)
+    [ "{broken"; "[1,]"; "{} x"; "\"open" ]
+
 (* --- Perfetto export schema -------------------------------------------- *)
 
 let test_perfetto_schema () =
@@ -213,29 +242,29 @@ let test_perfetto_schema () =
       Rp_trace.request_end ();
       ignore (Rp_trace.with_span k_ctl (fun () -> 42));
       let json = Rp_trace.export_json () in
-      let doc = Trend.parse json in
+      let doc = Json.parse json in
       let events =
-        match Trend.member "traceEvents" doc with
-        | Some (Trend.List l) -> l
+        match Json.member "traceEvents" doc with
+        | Some (Json.List l) -> l
         | _ -> Alcotest.fail "traceEvents missing or not a list"
       in
       (* request B/E, one detail X (begin+end merged), one instant, and
          the control span's B/E. *)
       Alcotest.(check bool) "at least the 6 emitted events" true
         (List.length events >= 6);
-      (match Trend.member "otherData" doc with
+      (match Json.member "otherData" doc with
       | Some o ->
           Alcotest.(check bool) "torn count exported as 0" true
-            (Trend.member "torn" o = Some (Trend.Num 0.))
+            (Json.member "torn" o = Some (Json.Num 0.))
       | None -> Alcotest.fail "otherData missing");
       let str_field name ev =
-        match Trend.member name ev with
-        | Some (Trend.Str s) -> s
+        match Json.member name ev with
+        | Some (Json.Str s) -> s
         | _ -> Alcotest.fail (Printf.sprintf "event field %s not a string" name)
       in
       let num_field name ev =
-        match Trend.member name ev with
-        | Some (Trend.Num n) -> n
+        match Json.member name ev with
+        | Some (Json.Num n) -> n
         | _ -> Alcotest.fail (Printf.sprintf "event field %s not a number" name)
       in
       let last_ts = ref neg_infinity in
@@ -409,9 +438,9 @@ let test_evloop_end_to_end () =
           Alcotest.(check bool) "detail span nests under its request" true
             nested_detail;
           (* The export of the same window must be loadable JSON. *)
-          let doc = Trend.parse (Rp_trace.export_json ()) in
-          match Trend.member "traceEvents" doc with
-          | Some (Trend.List l) ->
+          let doc = Json.parse (Rp_trace.export_json ()) in
+          match Json.member "traceEvents" doc with
+          | Some (Json.List l) ->
               Alcotest.(check bool) "export non-empty" true (l <> [])
           | _ -> Alcotest.fail "export not loadable"))
 
@@ -511,6 +540,7 @@ let () =
             test_concurrent_emission;
           Alcotest.test_case "sampler determinism" `Quick
             test_sampler_determinism;
+          Alcotest.test_case "json reader" `Quick test_json_reader;
           Alcotest.test_case "perfetto export schema" `Quick
             test_perfetto_schema;
         ] );
